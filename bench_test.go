@@ -145,11 +145,6 @@ func BenchmarkSimulateSweep(b *testing.B) { benchsuite.SimulateSweep(b) }
 // the single-connection requests/sec recorded in BENCH_<date>.json.
 func BenchmarkServeEnumerateWarm(b *testing.B) { benchsuite.ServeEnumerateWarm(b) }
 
-// BenchmarkServeEnumerateWarmRouted is the same warm request through
-// the fleet router fronting two replicas; the delta against
-// BenchmarkServeEnumerateWarm is the router hop's overhead.
-func BenchmarkServeEnumerateWarmRouted(b *testing.B) { benchsuite.ServeEnumerateWarmRouted(b) }
-
 // benchmarkRunWorkers is the paper's Poisson-workload simulation (the
 // repo's hottest loop) at a fixed worker count; the Serial/Parallel
 // pair tracks the engine's speedup in the perf trajectory.

@@ -55,14 +55,6 @@ type class struct {
 	errors   atomic.Int64
 	shed     atomic.Int64
 	retries  atomic.Int64
-
-	// Router-target accounting: sheds split by the X-Psn-Shed tier
-	// marker (router backpressure vs replica backpressure), and
-	// failovers the router performed on our behalf (X-Psn-Failovers on
-	// successful responses). All zero against a bare replica.
-	shedRouter  atomic.Int64
-	shedReplica atomic.Int64
-	failovers   atomic.Int64
 }
 
 // devNodes is the node-ID pool for generated messages. Every built-in
@@ -169,9 +161,6 @@ type LoadClass struct {
 	Requests     int64   `json:"requests"`
 	Errors       int64   `json:"errors"`
 	Shed         int64   `json:"shed"`
-	ShedRouter   int64   `json:"shedRouter,omitempty"`  // sheds marked X-Psn-Shed: router (router backpressure)
-	ShedReplica  int64   `json:"shedReplica,omitempty"` // sheds attributed to a replica
-	Failovers    int64   `json:"failovers,omitempty"`   // router failovers behind successful responses
 	Retries      int64   `json:"retries,omitempty"`
 	AchievedRate float64 `json:"achievedRate"` // completed requests / wall time
 	P50Ms        float64 `json:"p50Ms"`
@@ -196,9 +185,6 @@ type LoadReport struct {
 	Requests     int64       `json:"requests"`
 	Errors       int64       `json:"errors"`
 	Shed         int64       `json:"shed"`
-	ShedRouter   int64       `json:"shedRouter,omitempty"`
-	ShedReplica  int64       `json:"shedReplica,omitempty"`
-	Failovers    int64       `json:"failovers,omitempty"`
 	Retries      int64       `json:"retries,omitempty"`
 	Classes      []LoadClass `json:"classes"`
 }
@@ -273,7 +259,7 @@ func main() {
 	warmRng := mathrand.New(mathrand.NewPCG(uint64(*seed), 0x9e3779b97f4a7c15))
 	for _, c := range classes {
 		method, path, body := c.build(warmRng, *dataset)
-		if _, err := fire(client, baseURL, method, path, body, nil); err != nil {
+		if err := fire(client, baseURL, method, path, body); err != nil {
 			fmt.Fprintf(os.Stderr, "psn-load: warm-up %s: %v\n", c.name, err)
 			os.Exit(1)
 		}
@@ -348,7 +334,7 @@ func run(client *http.Client, baseURL string, classes []*class, duration time.Du
 			c.requests.Add(1)
 			for attempt := 0; ; attempt++ {
 				t0 := time.Now()
-				failovers, err := fire(client, baseURL, method, path, body, &c.hist)
+				err := fire(client, baseURL, method, path, body)
 				var shed *shedError
 				switch {
 				case errors.As(err, &shed):
@@ -358,15 +344,9 @@ func run(client *http.Client, baseURL string, classes []*class, duration time.Du
 						continue
 					}
 					c.shed.Add(1)
-					if shed.tier == "router" {
-						c.shedRouter.Add(1)
-					} else {
-						c.shedReplica.Add(1)
-					}
 				case err != nil:
 					c.errors.Add(1)
 				default:
-					c.failovers.Add(failovers)
 					c.hist.Record(time.Since(t0))
 				}
 				return
@@ -391,9 +371,6 @@ func run(client *http.Client, baseURL string, classes []*class, duration time.Du
 			Requests:     c.requests.Load(),
 			Errors:       c.errors.Load(),
 			Shed:         c.shed.Load(),
-			ShedRouter:   c.shedRouter.Load(),
-			ShedReplica:  c.shedReplica.Load(),
-			Failovers:    c.failovers.Load(),
 			Retries:      c.retries.Load(),
 			AchievedRate: float64(s.Count) / elapsed.Seconds(),
 			P50Ms:        ms(s.Quantile(0.50)),
@@ -405,9 +382,6 @@ func run(client *http.Client, baseURL string, classes []*class, duration time.Du
 		report.Requests += lc.Requests
 		report.Errors += lc.Errors
 		report.Shed += lc.Shed
-		report.ShedRouter += lc.ShedRouter
-		report.ShedReplica += lc.ShedReplica
-		report.Failovers += lc.Failovers
 		report.Retries += lc.Retries
 		report.Classes = append(report.Classes, lc)
 	}
@@ -430,12 +404,9 @@ func pickClass(classes []*class, totalWeight int, rng *mathrand.Rand) *class {
 
 // shedError marks a 503 — the server's explicit backpressure signal,
 // reported separately from errors — carrying the Retry-After hint the
-// -retry backoff honors (0 when the header was absent or unparsable)
-// and the shedding tier from X-Psn-Shed: "router" for router
-// backpressure, anything else attributed to a replica.
+// -retry backoff honors (0 when the header was absent or unparsable).
 type shedError struct {
 	retryAfter time.Duration
-	tier       string
 }
 
 func (e *shedError) Error() string { return "shed (503)" }
@@ -460,50 +431,39 @@ func retryDelay(rng *mathrand.Rand, attempt int, retryAfter time.Duration) time.
 	return d
 }
 
-// fire sends one request and drains the response, returning the
-// router-reported failover count behind a success (X-Psn-Failovers; 0
-// against a bare replica). hist is unused here (latency is recorded by
-// the caller so the clock covers exactly one attempt); it is accepted
-// to keep the warm-up call shape identical.
-func fire(client *http.Client, baseURL, method, path string, body []byte, hist *obs.Histogram) (int64, error) {
+// fire sends one request and drains the response. Latency is recorded
+// by the caller, so the clock covers exactly one attempt.
+func fire(client *http.Client, baseURL, method, path string, body []byte) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequest(method, baseURL+path, rd)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		ra, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
-		return 0, &shedError{
-			retryAfter: time.Duration(ra) * time.Second,
-			tier:       resp.Header.Get("X-Psn-Shed"),
-		}
+		return &shedError{retryAfter: time.Duration(ra) * time.Second}
 	case resp.StatusCode != http.StatusOK:
-		return 0, fmt.Errorf("status %d", resp.StatusCode)
+		return fmt.Errorf("status %d", resp.StatusCode)
 	}
-	fo, _ := strconv.ParseInt(resp.Header.Get("X-Psn-Failovers"), 10, 64)
-	return fo, nil
+	return nil
 }
 
 func printSummary(w io.Writer, r LoadReport) {
 	fmt.Fprintf(w, "psn-load: %s  %.1fs at target %.1f req/s (achieved %.1f), %d requests, %d errors, %d shed\n",
 		r.Addr, r.DurationS, r.TargetRate, r.AchievedRate, r.Requests, r.Errors, r.Shed)
-	if r.ShedRouter > 0 || r.Failovers > 0 {
-		fmt.Fprintf(w, "psn-load: router target: %d router-shed, %d replica-shed, %d failovers behind successes\n",
-			r.ShedRouter, r.ShedReplica, r.Failovers)
-	}
 	fmt.Fprintf(w, "%-10s %9s %7s %6s %9s %9s %9s %9s %9s\n",
 		"class", "requests", "errors", "shed", "p50(ms)", "p90(ms)", "p99(ms)", "max(ms)", "mean(ms)")
 	for _, c := range r.Classes {

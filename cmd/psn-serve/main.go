@@ -102,8 +102,8 @@ func main() {
 		log.Fatalf("psn-serve: %v", err)
 	}
 	// The machine-parseable bound address, on stdout by contract (all
-	// logging goes to stderr): fleet scripts and the CI smoke read this
-	// line to learn ephemeral ports (-addr :0) without a race.
+	// logging goes to stderr): scripts read this line to learn
+	// ephemeral ports (-addr :0) without a race.
 	fmt.Printf("ADDR=%s\n", ln.Addr())
 	os.Stdout.Sync()
 

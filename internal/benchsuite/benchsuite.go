@@ -20,7 +20,6 @@ import (
 	"repro/internal/dtnsim"
 	"repro/internal/forward"
 	"repro/internal/pathenum"
-	"repro/internal/router"
 	"repro/internal/service"
 	"repro/internal/stgraph"
 	"repro/internal/trace"
@@ -49,7 +48,6 @@ func Specs() []Spec {
 		{"SimulateCitySweep", SimulateCitySweep},
 		{"MEEDDistances", MEEDDistances},
 		{"ServeEnumerateWarm", ServeEnumerateWarm},
-		{"ServeEnumerateWarmRouted", ServeEnumerateWarmRouted},
 		{"WarmStartLoad", WarmStartLoad},
 	}
 }
@@ -268,54 +266,6 @@ func ServeEnumerateWarm(b *testing.B) {
 		return nil
 	}
 	if err := do(); err != nil { // warm the caches
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := do(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ServeEnumerateWarmRouted measures the same warm /enumerate round
-// trip as ServeEnumerateWarm, but through the fleet router fronting
-// two replicas: the delta in ns/op against ServeEnumerateWarm is the
-// router hop's cost (body buffering, rendezvous ranking, breaker
-// bookkeeping, the second HTTP round trip), and allocs/op covers the
-// full proxy envelope, gated in CI.
-func ServeEnumerateWarmRouted(b *testing.B) {
-	backends := make([]string, 2)
-	for i := range backends {
-		rep := httptest.NewServer(service.New(service.Config{}).Handler())
-		defer rep.Close()
-		backends[i] = strings.TrimPrefix(rep.URL, "http://")
-	}
-	rt, err := router.New(router.Config{Backends: backends, HealthInterval: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rt.Close()
-	rt.CheckNow()
-	ts := httptest.NewServer(rt.Handler())
-	defer ts.Close()
-	const body = `{"dataset":"dev","src":0,"dst":17,"start":0,"k":200}`
-	do := func() error {
-		resp, err := http.Post(ts.URL+"/enumerate", "application/json", strings.NewReader(body))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("enumerate via router: status %d", resp.StatusCode)
-		}
-		return nil
-	}
-	if err := do(); err != nil { // warm the chosen replica's caches
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

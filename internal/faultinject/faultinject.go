@@ -15,6 +15,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -22,8 +23,27 @@ import (
 	"repro/internal/engine"
 )
 
-// ErrInjected is the error an `err` fault returns from Fire. Callers
-// under test treat it like any other failure of the faulted operation.
+// The injection points the serving layer fires: artifact loads and
+// builds, the compute stages, and the handler envelope. Parse accepts
+// only these names.
+const (
+	PointGraphLoad   = "graph-load"
+	PointGraphBuild  = "graph-build"
+	PointOracleLoad  = "oracle-load"
+	PointOracleBuild = "oracle-build"
+	PointEnumerate   = "enumerate"
+	PointSimulate    = "simulate"
+	PointHandler     = "handler"
+)
+
+var points = []string{
+	PointGraphLoad, PointGraphBuild, PointOracleLoad, PointOracleBuild,
+	PointEnumerate, PointSimulate, PointHandler,
+}
+
+// ErrInjected is the error an `err` fault returns from FireCancel.
+// Callers under test treat it like any other failure of the faulted
+// operation.
 var ErrInjected = errors.New("faultinject: injected error")
 
 // ErrCorrupt is the error a `corrupt` fault returns: injection points
@@ -36,16 +56,16 @@ var ErrCorrupt = errors.New("faultinject: injected corruption")
 // are inert; non-zero ones all apply, in order: Delay first, then
 // Panic, then Err.
 type Fault struct {
-	Err   error         // returned from Fire
+	Err   error         // returned from FireCancel
 	Panic string        // panic raised with this message
 	Delay time.Duration // sleep before panicking/returning
 	Count int           // firings before the point disarms; 0 = unlimited
 }
 
 // Injector holds the armed faults of one test or process. A nil
-// *Injector is fully inert: every Fire returns nil immediately. The
-// zero value is ready to use, and all methods are safe for concurrent
-// callers.
+// *Injector is fully inert: every FireCancel returns nil immediately.
+// The zero value is ready to use, and all methods are safe for
+// concurrent callers.
 type Injector struct {
 	mu     sync.Mutex
 	points map[string]*pointState
@@ -97,17 +117,12 @@ func (in *Injector) take(point string) (Fault, bool) {
 	return st.fault, true
 }
 
-// Fire triggers point if armed: sleeps the fault's delay, raises its
-// panic, and returns its error. A nil receiver or unarmed point
-// returns nil without blocking.
-func (in *Injector) Fire(point string) error {
-	return in.FireCancel(point, nil)
-}
-
-// FireCancel is Fire with the delay made cancellable: a fired cc cuts
-// the sleep short and FireCancel returns cc's *engine.CanceledError
-// instead of the fault's own outcome — exactly what a slow real stage
-// under a request deadline would do.
+// FireCancel triggers point if armed: sleeps the fault's delay, raises
+// its panic, and returns its error. A nil receiver or unarmed point
+// returns nil without blocking. A fired cc cuts the sleep short and
+// FireCancel returns cc's *engine.CanceledError instead of the fault's
+// own outcome — exactly what a slow real stage under a request
+// deadline would do; a nil cc is inert.
 func (in *Injector) FireCancel(point string, cc *engine.Cancel) error {
 	f, ok := in.take(point)
 	if !ok {
@@ -147,7 +162,8 @@ func sleep(d time.Duration, cc *engine.Cancel) error {
 }
 
 // Parse builds an Injector from a -inject flag spec: a comma-separated
-// list of point:action items, where action is one of
+// list of point:action items, where point is one of the Point*
+// constants and action is one of
 //
 //	err          return ErrInjected
 //	corrupt      return ErrCorrupt
@@ -158,7 +174,8 @@ func sleep(d time.Duration, cc *engine.Cancel) error {
 //
 //	graph-load:corrupt*1,enumerate:delay=200ms,handler:panic
 //
-// An empty spec returns a nil (inert) Injector.
+// An empty spec returns a nil (inert) Injector. An unknown point name
+// is an error: arming a point nothing fires would inject nothing.
 func Parse(spec string) (*Injector, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -170,6 +187,9 @@ func Parse(spec string) (*Injector, error) {
 		point, action, ok := strings.Cut(item, ":")
 		if !ok || point == "" || action == "" {
 			return nil, fmt.Errorf("faultinject: bad item %q, want point:action", item)
+		}
+		if !slices.Contains(points, point) {
+			return nil, fmt.Errorf("faultinject: unknown point %q in %q (have %s)", point, item, strings.Join(points, ", "))
 		}
 		var f Fault
 		if a, countStr, ok := strings.Cut(action, "*"); ok {

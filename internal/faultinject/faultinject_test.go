@@ -12,18 +12,15 @@ import (
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if err := in.Fire("anything"); err != nil {
-		t.Fatalf("nil injector fired: %v", err)
-	}
 	if err := in.FireCancel("anything", nil); err != nil {
-		t.Fatalf("nil injector FireCancel fired: %v", err)
+		t.Fatalf("nil injector fired: %v", err)
 	}
 }
 
 func TestUnarmedPointIsInert(t *testing.T) {
 	in := New()
 	in.Set("other", Fault{Err: ErrInjected})
-	if err := in.Fire("this"); err != nil {
+	if err := in.FireCancel("this", nil); err != nil {
 		t.Fatalf("unarmed point fired: %v", err)
 	}
 }
@@ -32,7 +29,7 @@ func TestErrFaultAndCount(t *testing.T) {
 	in := New()
 	in.Set("p", Fault{Err: ErrInjected, Count: 2})
 	for i := 0; i < 2; i++ {
-		err := in.Fire("p")
+		err := in.FireCancel("p", nil)
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("firing %d: err = %v, want ErrInjected", i, err)
 		}
@@ -40,7 +37,7 @@ func TestErrFaultAndCount(t *testing.T) {
 			t.Errorf("firing %d: error %q does not name the point", i, err)
 		}
 	}
-	if err := in.Fire("p"); err != nil {
+	if err := in.FireCancel("p", nil); err != nil {
 		t.Fatalf("point fired past its count: %v", err)
 	}
 }
@@ -49,7 +46,7 @@ func TestClearDisarms(t *testing.T) {
 	in := New()
 	in.Set("p", Fault{Err: ErrInjected})
 	in.Clear("p")
-	if err := in.Fire("p"); err != nil {
+	if err := in.FireCancel("p", nil); err != nil {
 		t.Fatalf("cleared point fired: %v", err)
 	}
 }
@@ -67,14 +64,14 @@ func TestPanicFault(t *testing.T) {
 			t.Fatalf("panic value %v does not carry point and message", r)
 		}
 	}()
-	in.Fire("p")
+	in.FireCancel("p", nil)
 }
 
 func TestDelayFault(t *testing.T) {
 	in := New()
 	in.Set("p", Fault{Delay: 20 * time.Millisecond})
 	start := time.Now()
-	if err := in.Fire("p"); err != nil {
+	if err := in.FireCancel("p", nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
@@ -102,21 +99,26 @@ func TestDelayFaultCancellable(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	in, err := Parse("a:err*1, b:corrupt, c:delay=5ms")
+	in, err := Parse("enumerate:err*1, graph-load:corrupt, handler:delay=5ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Fire("a"); !errors.Is(err, ErrInjected) {
-		t.Errorf("a: %v, want ErrInjected", err)
+	if err := in.FireCancel(PointEnumerate, nil); !errors.Is(err, ErrInjected) {
+		t.Errorf("enumerate: %v, want ErrInjected", err)
 	}
-	if err := in.Fire("a"); err != nil {
-		t.Errorf("a past *1 count: %v", err)
+	if err := in.FireCancel(PointEnumerate, nil); err != nil {
+		t.Errorf("enumerate past *1 count: %v", err)
 	}
-	if err := in.Fire("b"); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("b: %v, want ErrCorrupt", err)
+	if err := in.FireCancel(PointGraphLoad, nil); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("graph-load: %v, want ErrCorrupt", err)
 	}
-	if err := in.Fire("c"); err != nil {
-		t.Errorf("c (delay only): %v", err)
+	if err := in.FireCancel(PointHandler, nil); err != nil {
+		t.Errorf("handler (delay only): %v", err)
+	}
+	for _, p := range points {
+		if _, err := Parse(p + ":err"); err != nil {
+			t.Errorf("Parse(%q:err): %v", p, err)
+		}
 	}
 
 	if in, err := Parse("  "); err != nil || in != nil {
@@ -124,13 +126,16 @@ func TestParse(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"noaction",
-		"p:",
+		"simulate:",
 		":err",
-		"p:frobnicate",
-		"p:delay=xyz",
-		"p:err*0",
-		"p:err*x",
-		"p:err*",
+		"simulate:frobnicate",
+		"simulate:delay=xyz",
+		"simulate:err*0",
+		"simulate:err*x",
+		"simulate:err*",
+		"accept:err",
+		"grpah-load:err",
+		"simulate:err,p:err",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)

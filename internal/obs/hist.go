@@ -34,15 +34,6 @@ var bucketBounds = func() [NumBuckets - 1]int64 {
 	return b
 }()
 
-// BucketBound returns bucket i's upper bound in nanoseconds, or -1 for
-// the unbounded overflow bucket.
-func BucketBound(i int) int64 {
-	if i >= NumBuckets-1 {
-		return -1
-	}
-	return bucketBounds[i]
-}
-
 // bucketOf returns the index of the bucket covering ns.
 func bucketOf(ns int64) int {
 	// Binary search over the 63 sorted finite bounds: the smallest

@@ -33,26 +33,21 @@ import (
 // serial loop would have hit first; messages are validated up front,
 // so no enumeration runs on a batch with any invalid message.
 func (e *Enumerator) EnumerateAll(msgs []Message) ([]*Result, error) {
-	return e.EnumerateAllObs(msgs, nil)
+	return e.EnumerateAllCancel(msgs, nil, nil)
 }
 
-// EnumerateAllObs is EnumerateAll with stage spans recorded into ot:
-// the shared destination-free prefix advances accumulate under
-// obs.StageEnumPrefix and the per-destination continuations — forked
-// off a prefix, or whole single-message enumerations for ungrouped
-// messages — under obs.StageEnumFork. Groups run concurrently, so the
-// trace's atomic accumulation sums wall time across workers. A nil ot
-// costs one pointer check per phase boundary.
-func (e *Enumerator) EnumerateAllObs(msgs []Message, ot *obs.Trace) ([]*Result, error) {
-	return e.EnumerateAllCancel(msgs, ot, nil)
-}
-
-// EnumerateAllCancel is EnumerateAllObs with a cooperative cancellation
-// token threaded into every group's dynamic program (see
-// EnumerateCancel). Once cc fires the batch abandons: in-flight groups
-// stop at their next checkpoint, queued groups return immediately, and
-// the call reports a *engine.CanceledError with no results. A nil cc —
-// what EnumerateAll and EnumerateAllObs pass — is inert.
+// EnumerateAllCancel is EnumerateAll with stage spans recorded into ot
+// and a cooperative cancellation token threaded into every group's
+// dynamic program (see EnumerateCancel). The shared destination-free
+// prefix advances accumulate under obs.StageEnumPrefix and the
+// per-destination continuations — forked off a prefix, or whole
+// single-message enumerations for ungrouped messages — under
+// obs.StageEnumFork. Groups run concurrently, so the trace's atomic
+// accumulation sums wall time across workers. A nil ot costs one
+// pointer check per phase boundary. Once cc fires the batch abandons:
+// in-flight groups stop at their next checkpoint, queued groups return
+// immediately, and the call reports a *engine.CanceledError with no
+// results. A nil cc — what EnumerateAll passes — is inert.
 func (e *Enumerator) EnumerateAllCancel(msgs []Message, ot *obs.Trace, cc *engine.Cancel) ([]*Result, error) {
 	for i := range msgs {
 		if err := e.validateMessage(msgs[i]); err != nil {

@@ -1,7 +1,6 @@
 package pathenum
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -89,11 +88,6 @@ func (o Options) validate() error {
 	}
 	return nil
 }
-
-// ErrTooManyNodes is kept for API compatibility; since populations
-// beyond the bitset capacity run in wide mode it is no longer
-// returned.
-var ErrTooManyNodes = errors.New("pathenum: trace exceeds 128 nodes")
 
 // Enumerator enumerates valid paths for messages over one trace. The
 // indexed space-time graph — CSR adjacency plus per-step contact

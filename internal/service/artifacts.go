@@ -241,14 +241,14 @@ func (a *artifacts) buildGraph(dataset string, delta float64, ot *obs.Trace, cc 
 		}
 	}
 	a.graphBuilds.Add(1)
-	if err := a.faults.FireCancel("graph-build", cc); err != nil {
+	if err := a.faults.FireCancel(faultinject.PointGraphBuild, cc); err != nil {
 		return nil, err
 	}
 	return stgraph.NewWorkersCancel(tr, delta, 0, ot, cc)
 }
 
 func (a *artifacts) loadGraph(dataset string, delta float64, tr *trace.Trace, cc *engine.Cancel) (*stgraph.Graph, error) {
-	if err := a.faults.FireCancel("graph-load", cc); err != nil {
+	if err := a.faults.FireCancel(faultinject.PointGraphLoad, cc); err != nil {
 		return nil, err
 	}
 	return a.store.LoadGraph(dataset, delta, artstore.TraceDigest(tr))
@@ -309,7 +309,7 @@ func (a *artifacts) buildSweep(dataset string, tr *trace.Trace, ot *obs.Trace, c
 		}
 	}
 	a.oracleBuilds.Add(1)
-	if err := a.faults.FireCancel("oracle-build", cc); err != nil {
+	if err := a.faults.FireCancel(faultinject.PointOracleBuild, cc); err != nil {
 		return nil, err
 	}
 	sp := ot.Start(obs.StageOracleBuild)
@@ -319,7 +319,7 @@ func (a *artifacts) buildSweep(dataset string, tr *trace.Trace, ot *obs.Trace, c
 }
 
 func (a *artifacts) loadOracle(dataset string, tr *trace.Trace, cc *engine.Cancel) (*dtnsim.Oracle, error) {
-	if err := a.faults.FireCancel("oracle-load", cc); err != nil {
+	if err := a.faults.FireCancel(faultinject.PointOracleLoad, cc); err != nil {
 		return nil, err
 	}
 	return a.store.LoadOracle(dataset, artstore.TraceDigest(tr), tr)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dtnsim"
 	"repro/internal/engine"
+	"repro/internal/faultinject"
 	"repro/internal/figures"
 	"repro/internal/forward"
 	"repro/internal/obs"
@@ -276,7 +277,7 @@ func (s *Server) enumerate(dataset string, msgs []pathenum.Message, opt pathenum
 	if err != nil {
 		return nil, err
 	}
-	if err := s.art.faults.FireCancel("enumerate", cc); err != nil {
+	if err := s.art.faults.FireCancel(faultinject.PointEnumerate, cc); err != nil {
 		return nil, err
 	}
 	results, err := enum.EnumerateAllCancel(msgs, ot, cc)
@@ -457,7 +458,7 @@ func (s *Server) simulate(req SimulateRequest, ot *obs.Trace, cc *engine.Cancel)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.art.faults.FireCancel("simulate", cc); err != nil {
+	if err := s.art.faults.FireCancel(faultinject.PointSimulate, cc); err != nil {
 		return nil, err
 	}
 	runs := make([]*dtnsim.Result, req.Runs)
@@ -623,21 +624,15 @@ func (s *Server) handleFigureData(w http.ResponseWriter, r *http.Request, ri *re
 	writeRaw(w, data)
 }
 
-// FigureData renders one figure at the given scale — the computation
+// figureData renders one figure at the given scale — the computation
 // behind GET /figures/{id}/data. Harnesses are cached per parameter
 // set, so figures sharing parameters share studies and simulation
-// sweeps.
-func (s *Server) FigureData(id string, p FigureParamsJSON) (*FigureDataResponse, error) {
-	return s.figureData(id, p, nil)
-}
-
-// figureData is FigureData with the request's cancellation token
-// honored while joining another request's in-flight harness build.
-// The figure harness itself memoizes whole studies and runs them to
-// completion — its results are shared across every figure and request
-// for the parameter set, so one request's deadline must not abandon
-// them — which makes the token a wait-side courtesy here rather than
-// a compute-side one.
+// sweeps. The request's cancellation token is honored while joining
+// another request's in-flight harness build. The figure harness itself
+// memoizes whole studies and runs them to completion — its results are
+// shared across every figure and request for the parameter set, so one
+// request's deadline must not abandon them — which makes the token a
+// wait-side courtesy here rather than a compute-side one.
 func (s *Server) figureData(id string, p FigureParamsJSON, cc *engine.Cancel) (*FigureDataResponse, error) {
 	f, ok := figures.Lookup(id)
 	if !ok {

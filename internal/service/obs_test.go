@@ -289,21 +289,38 @@ func TestMetricsHistogramCountsMatchRequests(t *testing.T) {
 }
 
 // TestRequestIDHeader checks every response carries a fixed-width hex
-// request ID, unique across requests.
+// request ID, unique across requests, and that the server mints it
+// itself: a well-formed inbound X-Psn-Request (here, an ID the server
+// already issued) is not echoed back.
 func TestRequestIDHeader(t *testing.T) {
 	s := New(Config{})
 	idRe := regexp.MustCompile(`^[0-9a-f]{16}$`)
 	seen := make(map[string]bool)
-	for i := 0; i < 3; i++ {
-		w := do(t, s, "GET", "/healthz", "")
+	mint := func(inbound string) string {
+		t.Helper()
+		req := httptest.NewRequest("GET", "/healthz", nil)
+		if inbound != "" {
+			req.Header.Set("X-Psn-Request", inbound)
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
 		id := w.Header().Get("X-Psn-Request")
 		if !idRe.MatchString(id) {
 			t.Fatalf("X-Psn-Request %q is not 16 hex digits", id)
 		}
 		if seen[id] {
-			t.Fatalf("request ID %q repeated", id)
+			t.Fatalf("request ID %q repeated (inbound %q)", id, inbound)
 		}
 		seen[id] = true
+		return id
+	}
+	first := mint("")
+	mint("")
+	mint("")
+	for _, inbound := range []string{first, "00000000deadbeef"} {
+		if id := mint(inbound); id == inbound {
+			t.Errorf("server echoed inbound request ID %q instead of minting one", inbound)
+		}
 	}
 }
 

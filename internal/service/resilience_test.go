@@ -51,7 +51,7 @@ func metricValue(t *testing.T, ts *httptest.Server, metric string) int64 {
 // psn_cancelled_total{reason="deadline"}.
 func TestRequestDeadlineSheds(t *testing.T) {
 	faults := faultinject.New()
-	faults.Set("enumerate", faultinject.Fault{Delay: 10 * time.Second, Count: 1})
+	faults.Set(faultinject.PointEnumerate, faultinject.Fault{Delay: 10 * time.Second, Count: 1})
 	_, ts := newTestServer(t, Config{RequestTimeout: 50 * time.Millisecond, Faults: faults})
 
 	start := time.Now()
@@ -91,7 +91,7 @@ func TestRequestDeadlineSheds(t *testing.T) {
 // response back for inspection.
 func TestClientDisconnectCancels(t *testing.T) {
 	faults := faultinject.New()
-	faults.Set("enumerate", faultinject.Fault{Delay: 10 * time.Second, Count: 1})
+	faults.Set(faultinject.PointEnumerate, faultinject.Fault{Delay: 10 * time.Second, Count: 1})
 	s, ts := newTestServer(t, Config{Faults: faults})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -114,7 +114,7 @@ func TestClientDisconnectCancels(t *testing.T) {
 // and the server keeps serving.
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	faults := faultinject.New()
-	faults.Set("handler", faultinject.Fault{Panic: "chaos", Count: 1})
+	faults.Set(faultinject.PointHandler, faultinject.Fault{Panic: "chaos", Count: 1})
 	_, ts := newTestServer(t, Config{Faults: faults})
 
 	resp, err := http.Post(ts.URL+"/enumerate", "application/json", strings.NewReader(enumBody))
@@ -159,7 +159,7 @@ func discardLogger() *slog.Logger {
 // /metrics; a healthy probe build after the window restores service.
 func TestDegradedMode(t *testing.T) {
 	faults := faultinject.New()
-	faults.Set("graph-build", faultinject.Fault{Err: faultinject.ErrInjected, Count: degradeThreshold})
+	faults.Set(faultinject.PointGraphBuild, faultinject.Fault{Err: faultinject.ErrInjected, Count: degradeThreshold})
 	s, ts := newTestServer(t, Config{Faults: faults})
 
 	for i := 0; i < degradeThreshold; i++ {
@@ -314,7 +314,7 @@ func TestOracleQuarantine(t *testing.T) {
 // shape of graceful shutdown (probes fail first, work finishes).
 func TestDrainFlipsHealthz(t *testing.T) {
 	faults := faultinject.New()
-	faults.Set("enumerate", faultinject.Fault{Delay: 300 * time.Millisecond, Count: 1})
+	faults.Set(faultinject.PointEnumerate, faultinject.Fault{Delay: 300 * time.Millisecond, Count: 1})
 	s, ts := newTestServer(t, Config{Faults: faults})
 
 	type result struct {
@@ -391,10 +391,10 @@ func TestChaosSuite(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
 	faults := faultinject.New()
-	faults.Set("enumerate", faultinject.Fault{Err: faultinject.ErrInjected, Count: 5})
-	faults.Set("simulate", faultinject.Fault{Delay: 20 * time.Millisecond, Count: 5})
-	faults.Set("handler", faultinject.Fault{Panic: "chaos", Count: 3})
-	faults.Set("graph-load", faultinject.Fault{Err: faultinject.ErrCorrupt, Count: 2})
+	faults.Set(faultinject.PointEnumerate, faultinject.Fault{Err: faultinject.ErrInjected, Count: 5})
+	faults.Set(faultinject.PointSimulate, faultinject.Fault{Delay: 20 * time.Millisecond, Count: 5})
+	faults.Set(faultinject.PointHandler, faultinject.Fault{Panic: "chaos", Count: 3})
+	faults.Set(faultinject.PointGraphLoad, faultinject.Fault{Err: faultinject.ErrCorrupt, Count: 2})
 	logger := discardLogger()
 	s, ts := newTestServer(t, Config{
 		RequestTimeout: 250 * time.Millisecond,

@@ -129,9 +129,10 @@ type Server struct {
 
 	// Request-ID scheme: a random per-instance tag in the high 32 bits,
 	// a monotone counter in the low 32. IDs are unique per instance,
-	// cheap (one atomic add), and the tag distinguishes replicas in
-	// merged logs. reqPool recycles the per-request trace carrier so the
-	// observability layer adds no steady-state allocation.
+	// cheap (one atomic add), and the tag distinguishes server
+	// instances in merged logs. reqPool recycles the per-request trace
+	// carrier so the observability layer adds no steady-state
+	// allocation.
 	idTag   uint64
 	idSeq   atomic.Uint64
 	reqPool sync.Pool
@@ -219,7 +220,7 @@ func (s *Server) count(endpoint string, h func(http.ResponseWriter, *http.Reques
 	hist := s.metrics.histFor(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.countRequest(endpoint)
-		ri := s.getReqInfo(r)
+		ri := s.getReqInfo()
 		w.Header().Set("X-Psn-Request", ri.idStr)
 		cw := &countingWriter{ResponseWriter: w}
 		t0 := time.Now()
@@ -265,18 +266,14 @@ func (s *Server) limited(endpoint string, h func(http.ResponseWriter, *http.Requ
 			default:
 				s.metrics.rejected.Add(1)
 				w.Header().Set("Retry-After", "1")
-				// The shed-attribution marker: a router in front tags its
-				// own backpressure sheds "router", so load reports can tell
-				// which tier is saturated.
-				w.Header().Set("X-Psn-Shed", "replica")
 				writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server at capacity (%d requests in flight)", cap(s.sem)))
 				return
 			}
 		}
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
-		ri.cancel = engine.NewCancel(r.Context(), s.effectiveTimeout(r))
-		if err := s.cfg.Faults.FireCancel("handler", &ri.cancel); err != nil {
+		ri.cancel = engine.NewCancel(r.Context(), s.cfg.RequestTimeout)
+		if err := s.cfg.Faults.FireCancel(faultinject.PointHandler, &ri.cancel); err != nil {
 			s.writeHandlerError(w, ri, err)
 			return
 		}
@@ -291,67 +288,22 @@ func (s *Server) limited(endpoint string, h func(http.ResponseWriter, *http.Requ
 // stragglers racing the listener close, complete normally.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// effectiveTimeout resolves one request's compute deadline: the
-// server's own RequestTimeout, tightened by an X-Psn-Deadline-Ms
-// header when a router tier propagated the client's remaining budget —
-// so replica-side cooperative cancellation fires before the router
-// gives up on the socket, and the abandoned work is reclaimed instead
-// of computing for a caller that already left.
-func (s *Server) effectiveTimeout(r *http.Request) time.Duration {
-	t := s.cfg.RequestTimeout
-	if v := r.Header.Get("X-Psn-Deadline-Ms"); v != "" {
-		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			if d := time.Duration(ms) * time.Millisecond; t <= 0 || d < t {
-				t = d
-			}
-		}
-	}
-	return t
-}
-
 // getReqInfo takes a recycled reqInfo from the pool, resets its trace,
-// and stamps the request ID: a well-formed inbound X-Psn-Request (16
-// lowercase hex digits — what the router tier mints) is trusted and
-// reused, so one ID traces a request across tiers; anything else gets
-// a fresh local ID.
-func (s *Server) getReqInfo(r *http.Request) *reqInfo {
+// and stamps a freshly minted request ID. An inbound X-Psn-Request
+// header is ignored: IDs are unique per instance only because the
+// server mints every one itself.
+func (s *Server) getReqInfo() *reqInfo {
 	ri, _ := s.reqPool.Get().(*reqInfo)
 	if ri == nil {
 		ri = new(reqInfo)
 	}
 	ri.obs.Reset()
-	id, idStr, ok := inboundRequestID(r)
-	if !ok {
-		id = s.idTag | s.idSeq.Add(1)&0xffffffff
-		idStr = formatRequestID(id)
-	}
+	id := s.idTag | s.idSeq.Add(1)&0xffffffff
 	ri.obs.ID = id
-	ri.idStr = idStr
+	ri.idStr = formatRequestID(id)
 	ri.dataset = ""
 	ri.cancel = engine.Cancel{}
 	return ri
-}
-
-// inboundRequestID parses a propagated X-Psn-Request header, accepting
-// exactly the format formatRequestID emits.
-func inboundRequestID(r *http.Request) (uint64, string, bool) {
-	v := r.Header.Get("X-Psn-Request")
-	if len(v) != 16 {
-		return 0, "", false
-	}
-	var id uint64
-	for i := 0; i < len(v); i++ {
-		c := v[i]
-		switch {
-		case c >= '0' && c <= '9':
-			id = id<<4 | uint64(c-'0')
-		case c >= 'a' && c <= 'f':
-			id = id<<4 | uint64(c-'a'+10)
-		default:
-			return 0, "", false
-		}
-	}
-	return id, v, true
 }
 
 // formatRequestID renders an ID as fixed-width lowercase hex — the

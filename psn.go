@@ -94,7 +94,6 @@ import (
 	"repro/internal/forward"
 	"repro/internal/obs"
 	"repro/internal/pathenum"
-	"repro/internal/router"
 	"repro/internal/service"
 	"repro/internal/stgraph"
 	"repro/internal/trace"
@@ -380,24 +379,6 @@ func NewRegistry() *Registry { return service.NewRegistry() }
 // NewServer builds the experiment-serving HTTP server; mount its
 // Handler under any http.Server.
 func NewServer(cfg ServeConfig) *Server { return service.New(cfg) }
-
-// Fleet serving.
-type (
-	// RouterConfig parametrizes the fleet router: the replica set,
-	// replication factor, health-check cadence, failover and retry
-	// budget, backpressure bound.
-	RouterConfig = router.Config
-	// Router fronts N psn-serve replicas: requests shard by dataset
-	// over a rendezvous hash with a failover replica per dataset,
-	// backed by active health checking, per-backend circuit breakers
-	// and deadline propagation. See cmd/psn-router and the README's
-	// "Fleet serving" section.
-	Router = router.Router
-)
-
-// NewRouter builds the fleet router and starts its health-check loop;
-// mount its Handler under any http.Server and stop it with Close.
-func NewRouter(cfg RouterConfig) (*Router, error) { return router.New(cfg) }
 
 // Resilience.
 
