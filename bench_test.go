@@ -114,8 +114,8 @@ func BenchmarkEnumerateDevTrace(b *testing.B)          { benchsuite.EnumerateDev
 func BenchmarkEnumerateConferenceMessage(b *testing.B) { benchsuite.EnumerateConferenceMessage(b) }
 
 // City-scale counterparts (≥2,000 nodes, ≥1M contacts): the cold
-// graph build, one wide-population enumeration, and a warm sweep
-// replay of the full contact stream.
+// graph build, one enumeration over 32-word membership rows, and a
+// warm sweep replay of the full contact stream.
 func BenchmarkSpaceTimeGraphBuildLarge(b *testing.B) { benchsuite.SpaceTimeGraphBuildLarge(b) }
 func BenchmarkEnumerateCityMessage(b *testing.B)     { benchsuite.EnumerateCityMessage(b) }
 func BenchmarkSimulateCitySweep(b *testing.B)        { benchsuite.SimulateCitySweep(b) }

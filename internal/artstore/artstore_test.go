@@ -120,7 +120,11 @@ func TestOracleGoldenRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dtnsim.Run(dtnsim.Config{Trace: tr, Algorithm: forward.Epidemic{}, Messages: msgs, Workers: 1, Oracle: loaded})
+		sw, err := dtnsim.NewSweepFromOracle(loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sw.Run(dtnsim.Config{Algorithm: forward.Epidemic{}, Messages: msgs, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,9 +105,8 @@ func SpaceTimeGraphBuildLarge(b *testing.B) {
 	}
 }
 
-// EnumerateCityMessage enumerates one message at city scale (wide
-// population mode: membership by chain walks instead of bitsets) over
-// the shared city graph.
+// EnumerateCityMessage enumerates one message at city scale over the
+// shared city graph: 2,000 nodes make every membership row 32 words.
 func EnumerateCityMessage(b *testing.B) {
 	enum := cityEnumerator()
 	b.ReportAllocs()

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/forward"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -82,13 +81,6 @@ type Config struct {
 	// forward.Cloner (each worker replays the full contact stream into
 	// its own clone); otherwise the run falls back to serial.
 	Workers int
-
-	// Oracle optionally supplies the precomputed read-only tables for
-	// Trace (see NewOracle). Nil means Run derives them itself; a
-	// non-nil Oracle must have been built from the same Trace. Runs
-	// with and without an Oracle are byte-identical: the tables are
-	// pure functions of the trace.
-	Oracle *Oracle
 
 	// Cancel optionally threads a cooperative cancellation token
 	// through the replay: every shard polls it a few thousand events
@@ -161,9 +153,8 @@ type Result struct {
 }
 
 // Run simulates cfg and returns per-message outcomes. Every call
-// derives (or accepts via cfg.Oracle) the read-only trace tables; use
-// a Sweep to amortize them — and the pooled per-worker state — across
-// many runs of one trace.
+// derives the read-only trace tables; use a Sweep to amortize them —
+// and the pooled per-worker state — across many runs of one trace.
 func Run(cfg Config) (*Result, error) {
 	tr := cfg.Trace
 	if tr == nil {
@@ -172,13 +163,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Algorithm == nil {
 		return nil, fmt.Errorf("dtnsim: nil algorithm")
 	}
-	oracle := cfg.Oracle
-	if oracle == nil {
-		oracle = NewOracle(tr)
-	} else if oracle.tr != tr {
-		return nil, fmt.Errorf("dtnsim: oracle was built from a different trace")
-	}
-	sw := &Sweep{tr: tr, oracle: oracle} // transient: nothing pooled survives
+	sw := &Sweep{tr: tr, oracle: NewOracle(tr)} // transient: nothing pooled survives
 	return sw.run(cfg)
 }
 
@@ -212,31 +197,17 @@ func NewSweep(tr *trace.Trace) (*Sweep, error) {
 // Trace returns the sweep's trace.
 func (sw *Sweep) Trace() *trace.Trace { return sw.tr }
 
-// Oracle returns the sweep's precomputed tables, shareable with plain
-// Run calls via Config.Oracle.
+// Oracle returns the sweep's precomputed tables, for persisting them
+// or for sharing them with another sweep through NewSweepFromOracle.
 func (sw *Sweep) Oracle() *Oracle { return sw.oracle }
 
-// RunObs is Run with the warm replay timed under obs.StageSimRun into
-// ot — the marginal per-run cost a sweep's caller pays after the
-// oracle tables are built (those are timed by whoever builds the
-// sweep, under obs.StageOracleBuild). A nil ot costs a pointer check.
-func (sw *Sweep) RunObs(cfg Config, ot *obs.Trace) (*Result, error) {
-	sp := ot.Start(obs.StageSimRun)
-	res, err := sw.Run(cfg)
-	sp.End()
-	return res, err
-}
-
-// Run simulates one configuration of the sweep's trace. cfg.Trace and
-// cfg.Oracle may be left nil (they default to the sweep's); when set
-// they must match the sweep. All other Config semantics are exactly
-// those of the package-level Run.
+// Run simulates one configuration of the sweep's trace. cfg.Trace may
+// be left nil (it defaults to the sweep's); when set it must match the
+// sweep. All other Config semantics are exactly those of the
+// package-level Run.
 func (sw *Sweep) Run(cfg Config) (*Result, error) {
 	if cfg.Trace != nil && cfg.Trace != sw.tr {
 		return nil, fmt.Errorf("dtnsim: sweep run with a different trace")
-	}
-	if cfg.Oracle != nil && cfg.Oracle != sw.oracle {
-		return nil, fmt.Errorf("dtnsim: sweep run with a different oracle")
 	}
 	if cfg.Algorithm == nil {
 		return nil, fmt.Errorf("dtnsim: nil algorithm")
@@ -248,6 +219,14 @@ func (sw *Sweep) Run(cfg Config) (*Result, error) {
 // workers with pooled per-worker simulation state.
 func (sw *Sweep) run(cfg Config) (*Result, error) {
 	tr := sw.tr
+	// Node ids and copy counts are packed into int16 (events, copy
+	// slab); reject what would wrap before replaying anything.
+	if tr.NumNodes > maxPopulation {
+		return nil, fmt.Errorf("dtnsim: %d nodes exceed the simulator's %d-node limit", tr.NumNodes, maxPopulation)
+	}
+	if cb, ok := cfg.Algorithm.(forward.CopyBudget); ok && cb.InitialCopies() > math.MaxInt16 {
+		return nil, fmt.Errorf("dtnsim: copy budget %d exceeds %d", cb.InitialCopies(), math.MaxInt16)
+	}
 	for i, m := range cfg.Messages {
 		if m.Src < 0 || int(m.Src) >= tr.NumNodes || m.Dst < 0 || int(m.Dst) >= tr.NumNodes {
 			return nil, fmt.Errorf("dtnsim: message %d endpoints out of range", i)
@@ -412,9 +391,13 @@ const (
 	evContactEnd
 )
 
+// maxPopulation is the largest population the simulator replays: node
+// ids must fit the int16 endpoints of an event.
+const maxPopulation = math.MaxInt16 + 1
+
 // event is one point of the replay timeline, packed to keep the shared
-// stream cache-resident (24 bytes; node ids fit int16 under the
-// 128-node population bound).
+// stream cache-resident (24 bytes; node ids fit int16 under
+// maxPopulation, which Sweep.run enforces).
 type event struct {
 	time float64
 	kind eventKind

@@ -55,6 +55,47 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInt16Overflow pins the simulator's packing bounds:
+// event endpoints and copy counts are int16, so a population above
+// maxPopulation or a copy budget above 32,767 must be an error before
+// any replay. Unchecked, node 65537 wrapped onto node 1 (a 0→1 message
+// "delivered" over a 0–65537 contact) and node 35000 wrapped negative
+// (an index-out-of-range panic).
+func TestRunRejectsInt16Overflow(t *testing.T) {
+	msgs := []Message{{Src: 0, Dst: 1, Start: 0}}
+	for _, far := range []trace.NodeID{65537, 35000} {
+		tr := mkTrace(t, 70000, 100, []trace.Contact{{A: 0, B: far, Start: 0, End: 50}})
+		if r, err := Run(Config{Trace: tr, Algorithm: forward.Epidemic{}, Messages: msgs}); err == nil {
+			t.Errorf("contact 0–%d on 70000 nodes accepted: %+v", far, r.Outcomes)
+		}
+		sw, err := NewSweep(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.Run(Config{Algorithm: forward.Epidemic{}, Messages: msgs}); err == nil {
+			t.Errorf("sweep: contact 0–%d on 70000 nodes accepted", far)
+		}
+	}
+
+	last := trace.NodeID(maxPopulation - 1)
+	edge := mkTrace(t, maxPopulation, 100, []trace.Contact{{A: 0, B: last, Start: 0, End: 50}})
+	r, err := Run(Config{Trace: edge, Algorithm: forward.Epidemic{}, Messages: []Message{{Src: 0, Dst: last, Start: 10}}})
+	if err != nil {
+		t.Fatalf("%d nodes rejected: %v", maxPopulation, err)
+	}
+	if !r.Outcomes[0].Delivered || r.Outcomes[0].Delay != 0 {
+		t.Errorf("0→%d over a live contact: %+v", last, r.Outcomes[0])
+	}
+
+	small := mkTrace(t, 4, 100, []trace.Contact{{A: 0, B: 1, Start: 0, End: 50}})
+	if _, err := Run(Config{Trace: small, Algorithm: forward.SprayAndWait{L: math.MaxInt16 + 1}, Messages: msgs}); err == nil {
+		t.Error("copy budget above int16 accepted")
+	}
+	if _, err := Run(Config{Trace: small, Algorithm: forward.SprayAndWait{L: math.MaxInt16}, Messages: msgs}); err != nil {
+		t.Errorf("copy budget %d rejected: %v", math.MaxInt16, err)
+	}
+}
+
 func TestEpidemicDirectDelivery(t *testing.T) {
 	tr := mkTrace(t, 3, 100, []trace.Contact{{A: 0, B: 1, Start: 10, End: 20}})
 	r := run(t, Config{

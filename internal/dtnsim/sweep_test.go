@@ -162,18 +162,15 @@ func TestSweepValidation(t *testing.T) {
 	if _, err := sw.Run(Config{Algorithm: forward.Epidemic{}, Trace: other}); err == nil {
 		t.Error("different trace accepted")
 	}
-	if _, err := sw.Run(Config{Algorithm: forward.Epidemic{}, Oracle: NewOracle(tr)}); err == nil {
-		t.Error("foreign oracle accepted")
-	}
 	if _, err := sw.Run(Config{}); err == nil {
 		t.Error("nil algorithm accepted")
 	}
 	if _, err := sw.Run(Config{Algorithm: forward.Epidemic{}, Messages: []Message{{Src: 0, Dst: 0}}}); err == nil {
 		t.Error("invalid message accepted")
 	}
-	// The sweep's own oracle and trace are accepted explicitly.
-	if _, err := sw.Run(Config{Algorithm: forward.Epidemic{}, Trace: tr, Oracle: sw.Oracle()}); err != nil {
-		t.Errorf("sweep's own trace+oracle rejected: %v", err)
+	// The sweep's own trace is accepted explicitly.
+	if _, err := sw.Run(Config{Algorithm: forward.Epidemic{}, Trace: tr}); err != nil {
+		t.Errorf("sweep's own trace rejected: %v", err)
 	}
 }
 

@@ -38,8 +38,9 @@ func (e *Enumerator) EnumerateAll(msgs []Message) ([]*Result, error) {
 
 // EnumerateAllCancel is EnumerateAll with stage spans recorded into ot
 // and a cooperative cancellation token threaded into every group's
-// dynamic program (see EnumerateCancel). The shared destination-free
-// prefix advances accumulate under obs.StageEnumPrefix and the
+// dynamic program, which polls it at every step boundary and every few
+// hundred extension roots. The shared destination-free prefix advances
+// accumulate under obs.StageEnumPrefix and the
 // per-destination continuations — forked off a prefix, or whole
 // single-message enumerations for ungrouped messages — under
 // obs.StageEnumFork. Groups run concurrently, so the trace's atomic
@@ -214,21 +215,7 @@ func (e *Enumerator) firstActive(d trace.NodeID, s0 int) (int, bool) {
 func (e *Enumerator) forkScratch(base, reuse *scratch) *scratch {
 	sc := reuse
 	if sc == nil {
-		n := e.tr.NumNodes
-		sc = &scratch{
-			visited:   make([]int, n),
-			hopCounts: make([]int32, n+1),
-			table:     make([][]entry, n),
-			cands:     make([][]entry, n),
-			thresh:    make([]int32, n),
-			bound:     make([]int32, n),
-			below:     make([]int32, n),
-			hist:      make([]int32, n*int(histCap)),
-			stamp:     make([]int32, n),
-		}
-		for i := range sc.below {
-			sc.below[i] = -1
-		}
+		sc = newScratch(e.tr.NumNodes)
 	} else {
 		// A MaxArrivals stop can abandon the previous job mid-step;
 		// clean the histogram state and candidates it left behind. The
@@ -250,11 +237,6 @@ func (e *Enumerator) forkScratch(base, reuse *scratch) *scratch {
 		sc.table[i] = append(sc.table[i][:0], t...)
 	}
 	sc.arena.forkFrom(&base.arena)
-	if e.wide {
-		sc.rows.forkFrom(&base.rows)
-		if sc.deliveredBits == nil {
-			sc.deliveredBits = make([]uint64, base.rows.words)
-		}
-	}
+	sc.rows.forkFrom(&base.rows)
 	return sc
 }

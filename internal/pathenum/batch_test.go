@@ -84,8 +84,8 @@ func TestBatchEquivalenceDatasets(t *testing.T) {
 }
 
 // TestBatchEquivalenceCity pins grouped EnumerateAll on the city-scale
-// 2000-node trace, exercising the wide-mode fork path (layered row
-// arenas) end to end.
+// 2000-node trace, exercising the fork path's layered 32-word row
+// arenas end to end.
 func TestBatchEquivalenceCity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("city-scale trace generation in -short mode")

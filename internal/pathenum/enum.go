@@ -103,14 +103,6 @@ type Enumerator struct {
 	g   *stgraph.Graph
 	opt Options
 
-	// wide marks populations beyond the nodeSet bitset capacity
-	// (city-scale traces): path membership — loop avoidance roots and
-	// first-preference pruning — is then resolved through full-width
-	// bitset rows, one per table entry, held in a slab arena (see
-	// rowArena) instead of the pnodes' inline two-word sets. Both
-	// modes run the identical dynamic program.
-	wide bool
-
 	// Per-call scratch, pooled so sequential calls reuse their
 	// allocations and concurrent calls never share state.
 	pool sync.Pool
@@ -119,12 +111,11 @@ type Enumerator struct {
 // entry is one table slot: an arena handle with the path's hop count
 // alongside, so the merge, threshold and acceptance checks never touch
 // the arena. Entries are pointer-free, keeping every per-node table
-// outside the garbage collector's write barriers. In wide mode row
-// holds the entry's membership bitset handle (see rowArena); narrow
-// tables leave it zero and use the pnode's inline nodeSet instead.
-// (Carrying the membership bitset in the entry was measured and lost:
-// 12-byte entries keep the saturated tables and merge traffic almost
-// 3x denser than 32-byte ones, which outweighs the arena loads.)
+// outside the garbage collector's write barriers. row is the handle of
+// the entry's membership bitset (see rowArena). (Carrying the
+// membership bitset in the entry was measured and lost: 12-byte
+// entries keep the saturated tables and merge traffic almost 3x denser
+// than 32-byte ones, which outweighs the arena loads.)
 type entry struct {
 	idx  int32
 	hops int32
@@ -136,11 +127,10 @@ type entry struct {
 // kept unmaterialized: idx is -1 and the chain back to the root lives
 // in par links (queue indexes), so hopeless subtrees never touch the
 // arena. The first accepted or delivered descendant materializes the
-// chain on demand (see scratch.materialize). A slot's path membership
-// lives in its materialized pnode — the accept path reads it straight
-// from the arena slot materialize just wrote, still cache-hot — so
-// carrying it in the queue would only double the footprint of the
-// dominant share of slots that never get accepted.
+// chain on demand (see scratch.materialize). Slots carry no path
+// membership: an accepted child's row is built from the root's row
+// plus the nodes on its par chain (see extendBFS), so the dominant
+// share of slots that never get accepted costs 16 bytes each.
 type bfsNode struct {
 	idx  int32 // arena handle, -1 while unmaterialized
 	par  int32 // queue index of the parent slot, -1 for the root
@@ -200,9 +190,9 @@ type scratch struct {
 	// skipped without extending a single path.
 	stamp []int32
 
-	// Wide mode only: membership bitset rows plus the delivered-node
-	// bitset for pruning. Every entry owns its row exclusively; rows
-	// are freed the moment the merge or prune drops the entry.
+	// Membership bitset rows plus the delivered-node bitset for
+	// pruning. Every entry owns its row exclusively; rows are freed the
+	// moment the merge or prune drops the entry.
 	// deliveredIdx lists the indexes of deliveredBits' nonzero words:
 	// the destination's contact set is a handful of nodes, so the
 	// per-entry prune sweep touches one or two words instead of the
@@ -228,8 +218,7 @@ func (sc *scratch) materialize(qi int32, s int) int32 {
 	idx := sc.bqueue[qi].idx
 	for i := len(stack) - 1; i >= 0; i-- {
 		b := &sc.bqueue[stack[i]]
-		pn := sc.arena.at(idx)
-		idx = sc.arena.extend(idx, pn.members, pn.hops, trace.NodeID(b.node), s)
+		idx = sc.arena.extend(idx, b.hops-1, trace.NodeID(b.node), s)
 		b.idx = idx
 	}
 	sc.matStack = stack[:0]
@@ -240,27 +229,30 @@ func (e *Enumerator) getScratch() *scratch {
 	if sc, ok := e.pool.Get().(*scratch); ok {
 		return sc
 	}
-	n := e.tr.NumNodes
+	return newScratch(e.tr.NumNodes)
+}
+
+// newScratch allocates the scratch for an n-node population, every
+// node's table empty and unbinned.
+func newScratch(n int) *scratch {
+	words := (n + 63) / 64
 	sc := &scratch{
-		visited:   make([]int, n),
-		hopCounts: make([]int32, n+1),
-		table:     make([][]entry, n),
-		cands:     make([][]entry, n),
-		thresh:    make([]int32, n),
-		bound:     make([]int32, n),
-		below:     make([]int32, n),
-		hist:      make([]int32, n*int(histCap)),
-		stamp:     make([]int32, n),
+		visited:       make([]int, n),
+		hopCounts:     make([]int32, n+1),
+		table:         make([][]entry, n),
+		cands:         make([][]entry, n),
+		thresh:        make([]int32, n),
+		bound:         make([]int32, n),
+		below:         make([]int32, n),
+		hist:          make([]int32, n*int(histCap)),
+		stamp:         make([]int32, n),
+		rows:          rowArena{words: int32(words)},
+		deliveredBits: make([]uint64, words),
 	}
 	for i := range sc.bound {
 		sc.bound[i] = boundInf
 		sc.below[i] = -1
 		sc.stamp[i] = -2
-	}
-	if e.wide {
-		words := int32((n + 63) / 64)
-		sc.rows.words = words
-		sc.deliveredBits = make([]uint64, words)
 	}
 	return sc
 }
@@ -305,7 +297,7 @@ func NewEnumerator(tr *trace.Trace, opt Options) (*Enumerator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Enumerator{tr: tr, g: g, opt: opt, wide: tr.NumNodes > maxNodes}, nil
+	return &Enumerator{tr: tr, g: g, opt: opt}, nil
 }
 
 // NewEnumeratorWithGraph prepares path enumeration over tr reusing a
@@ -331,7 +323,7 @@ func NewEnumeratorWithGraph(tr *trace.Trace, g *stgraph.Graph, opt Options) (*En
 	if err != nil {
 		return nil, err
 	}
-	return &Enumerator{tr: tr, g: g, opt: opt, wide: tr.NumNodes > maxNodes}, nil
+	return &Enumerator{tr: tr, g: g, opt: opt}, nil
 }
 
 // Graph exposes the underlying space-time graph.
@@ -376,16 +368,12 @@ func (e *Enumerator) Enumerate(msg Message) (*Result, error) {
 	return e.enumerate(msg, nil)
 }
 
-// EnumerateCancel is Enumerate with a cooperative cancellation token:
-// the dynamic program polls cc at every step boundary (and, within a
-// step, every few hundred extension roots) and abandons with a
+// enumerate is Enumerate with a cooperative cancellation token: the
+// dynamic program polls cc at every step boundary (and, within a step,
+// every few hundred extension roots) and abandons with a
 // *engine.CanceledError once it fires. A nil cc costs one branch per
 // checkpoint, and a token that never fires changes nothing: the result
 // is byte-identical to a plain Enumerate.
-func (e *Enumerator) EnumerateCancel(msg Message, cc *engine.Cancel) (*Result, error) {
-	return e.enumerate(msg, cc)
-}
-
 func (e *Enumerator) enumerate(msg Message, cc *engine.Cancel) (*Result, error) {
 	if err := e.validateMessage(msg); err != nil {
 		return nil, err
@@ -425,11 +413,8 @@ func (e *Enumerator) run(sc *scratch, msg Message) *Result {
 
 // seed installs the zero-hop source tuple into the table.
 func (e *Enumerator) seed(sc *scratch, src trace.NodeID, s0 int) {
-	row := int32(0)
-	if e.wide {
-		row = sc.rows.alloc()
-		sc.rows.set(row, src)
-	}
+	row := sc.rows.alloc()
+	sc.rows.set(row, src)
 	sc.table[src] = append(sc.table[src], entry{idx: sc.arena.source(src, s0), row: row})
 	sc.bound[src] = boundOf(sc.table[src], e.opt.TableWidth)
 	sc.stamp[src] = int32(s0) - 1
@@ -549,31 +534,20 @@ func (e *Enumerator) step(sc *scratch, s int, dst trace.NodeID, res *Result) boo
 	// containing such a node could only deliver strictly later and
 	// is invalid (§4.1).
 	if dn := v.Neighbors(dst); len(dn) > 0 {
-		var delivered nodeSet
-		if e.wide {
-			clear(sc.deliveredBits)
-			for _, d := range dn {
-				sc.deliveredBits[d>>6] |= 1 << (uint(d) & 63)
-			}
-			sc.deliveredIdx = sc.deliveredIdx[:0]
-			for w, bits := range sc.deliveredBits {
-				if bits != 0 {
-					sc.deliveredIdx = append(sc.deliveredIdx, int32(w))
-				}
-			}
-		} else {
-			for _, d := range dn {
-				delivered = delivered.with(d)
+		clear(sc.deliveredBits)
+		for _, d := range dn {
+			sc.deliveredBits[d>>6] |= 1 << (uint(d) & 63)
+		}
+		sc.deliveredIdx = sc.deliveredIdx[:0]
+		for w, bits := range sc.deliveredBits {
+			if bits != 0 {
+				sc.deliveredIdx = append(sc.deliveredIdx, int32(w))
 			}
 		}
 		alive := false
 		for i := 0; i < n; i++ {
 			before := len(table[i])
-			if e.wide {
-				table[i] = pruneRows(&sc.rows, table[i], sc.deliveredBits, sc.deliveredIdx)
-			} else {
-				table[i] = pruneContaining(&sc.arena, table[i], delivered)
-			}
+			table[i] = pruneRows(&sc.rows, table[i], sc.deliveredBits, sc.deliveredIdx)
 			if len(table[i]) != before {
 				sc.bound[i] = boundOf(table[i], width)
 				sc.stamp[i] = int32(s)
@@ -618,12 +592,7 @@ func materializeArrivals(sc *scratch, res *Result) {
 		j := base + h
 		for cur := idx; cur >= 0; {
 			pn := a.at(cur)
-			slab[j] = Path{
-				Node:    trace.NodeID(pn.node),
-				Step:    int(pn.step),
-				Hops:    int(pn.hops),
-				members: pn.members,
-			}
+			slab[j] = Path{Node: trace.NodeID(pn.node), Step: int(pn.step), Hops: int(pn.hops)}
 			cur = pn.parent
 			j--
 		}
@@ -858,21 +827,11 @@ func (e *Enumerator) extendBFS(sc *scratch, v stgraph.View, dst trace.NodeID, p 
 	sc.epoch++
 	epoch := sc.epoch
 	a := &sc.arena
-	wide := e.wide
 	width := int32(e.opt.TableWidth)
 	bound := sc.bound
-	var rootMembers nodeSet
-	var rootRow []uint64
-	rootRowH := int32(0)
-	if wide {
-		// The root is a table entry; caching its membership bitset row
-		// makes the per-neighbor check below one word-indexed bit
-		// test, exactly like the narrow bitset path.
-		rootRowH = p.row
-		rootRow = sc.rows.row(rootRowH)
-	} else {
-		rootMembers = a.at(p.idx).members
-	}
+	// The root is a table entry; caching its membership bitset row makes
+	// the per-neighbor loop check below one word-indexed bit test.
+	rootRow := sc.rows.row(p.row)
 	sc.visited[rootNode] = epoch
 	sc.bqueue = append(sc.bqueue[:0], bfsNode{idx: p.idx, par: -1, node: int32(rootNode), hops: p.hops})
 	delivered := false
@@ -883,18 +842,14 @@ func (e *Enumerator) extendBFS(sc *scratch, v stgraph.View, dst trace.NodeID, p 
 				if !delivered {
 					delivered = true
 					qi := sc.materialize(int32(head), s)
-					sc.arrivals = append(sc.arrivals, a.extend(qi, a.at(qi).members, q.hops, dst, s))
+					sc.arrivals = append(sc.arrivals, a.extend(qi, q.hops, dst, s))
 				}
 				continue
 			}
 			if sc.visited[nb] == epoch {
 				continue
 			}
-			if wide {
-				if rootRow[nb>>6]&(1<<(uint(nb)&63)) != 0 {
-					continue
-				}
-			} else if rootMembers.has(nb) {
+			if rootRow[nb>>6]&(1<<(uint(nb)&63)) != 0 {
 				continue
 			}
 			sc.visited[nb] = epoch
@@ -910,22 +865,18 @@ func (e *Enumerator) extendBFS(sc *scratch, v stgraph.View, dst trace.NodeID, p 
 			childIdx := int32(-1)
 			if accept {
 				qi := sc.materialize(int32(head), s)
-				childIdx = a.extend(qi, a.at(qi).members, q.hops, nb, s)
-				row := int32(0)
-				if wide {
-					// The candidate owns its row from birth: the
-					// root's row (hot in cache) copied, with the child
-					// and the step's branch nodes — read off the hot
-					// BFS queue chain, never the arena — OR-ed in. The
-					// chain ends at the root slot, whose bit the copy
-					// already holds; re-setting it is harmless.
-					row = sc.rows.allocCopy(rootRowH)
-					rw := sc.rows.row(row)
-					rw[nb>>6] |= 1 << (uint(nb) & 63)
-					for slot := int32(head); slot >= 0; slot = sc.bqueue[slot].par {
-						nd := sc.bqueue[slot].node
-						rw[nd>>6] |= 1 << (uint(nd) & 63)
-					}
+				childIdx = a.extend(qi, q.hops, nb, s)
+				// The candidate owns its row from birth: the root's row
+				// (hot in cache) copied, with the child and the step's
+				// branch nodes — read off the hot BFS queue chain, never
+				// the arena — OR-ed in. The chain ends at the root slot,
+				// whose bit the copy already holds; re-setting it is
+				// harmless.
+				row, rw := sc.rows.allocCopy(rootRow)
+				rw[nb>>6] |= 1 << (uint(nb) & 63)
+				for slot := int32(head); slot >= 0; slot = sc.bqueue[slot].par {
+					nd := sc.bqueue[slot].node
+					rw[nd>>6] |= 1 << (uint(nd) & 63)
 				}
 				cands[nb] = append(cands[nb], entry{idx: childIdx, hops: childHops, row: row})
 				sc.noteAccept(nb, childHops, width)
@@ -951,10 +902,10 @@ func (e *Enumerator) extendBFS(sc *scratch, v stgraph.View, dst trace.NodeID, p 
 // precede every candidate in the merged order, so that prefix keeps
 // its slots untouched and only the overlapping tail runs through the
 // reused scratch buffer — in the saturated steady state candidates
-// land near the table's end and the copy shrinks to a few entries. In
-// wide mode the rows of dropped entries — a suffix of each input,
-// since both are consumed in order — are recycled immediately: every
-// entry owns its row exclusively.
+// land near the table's end and the copy shrinks to a few entries. The
+// rows of dropped entries — a suffix of each input, since both are
+// consumed in order — are recycled immediately: every entry owns its
+// row exclusively.
 func (e *Enumerator) mergeShortest(sc *scratch, existing, cands []entry) []entry {
 	width := e.opt.TableWidth
 	sc.sortByHops(cands)
@@ -975,13 +926,11 @@ func (e *Enumerator) mergeShortest(sc *scratch, existing, cands []entry) []entry
 		}
 	}
 	sc.mergeBuf = buf
-	if e.wide {
-		for k := i; k < len(existing); k++ {
-			sc.rows.freeRow(existing[k].row)
-		}
-		for k := j; k < len(cands); k++ {
-			sc.rows.freeRow(cands[k].row)
-		}
+	for k := i; k < len(existing); k++ {
+		sc.rows.freeRow(existing[k].row)
+	}
+	for k := j; k < len(cands); k++ {
+		sc.rows.freeRow(cands[k].row)
 	}
 	existing = append(existing[:p], buf...)
 	return existing
@@ -1031,22 +980,10 @@ func (sc *scratch) sortByHops(paths []entry) {
 	clear(pos)
 }
 
-// pruneContaining removes paths intersecting the delivered node set,
-// in place.
-func pruneContaining(a *pathArena, paths []entry, delivered nodeSet) []entry {
-	out := paths[:0]
-	for _, p := range paths {
-		if !a.at(p.idx).members.intersects(delivered) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// pruneRows is pruneContaining for wide populations: each entry's
-// membership bitset row is AND-tested against the delivered bitset's
-// nonzero words only (their indexes in idx), and pruned entries
-// recycle their rows.
+// pruneRows removes, in place, the paths intersecting the delivered
+// node set: each entry's membership bitset row is AND-tested against
+// the delivered bitset's nonzero words only (their indexes in idx), and
+// pruned entries recycle their rows.
 func pruneRows(rows *rowArena, paths []entry, delivered []uint64, idx []int32) []entry {
 	out := paths[:0]
 scan:

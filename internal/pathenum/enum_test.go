@@ -122,50 +122,35 @@ func TestEnumerateValidatesMessage(t *testing.T) {
 	}
 }
 
-// Populations beyond the bitset capacity run in wide mode: the same
-// dynamic program with chain-walk membership instead of per-path
-// bitsets. A small contact chain on a 200-node trace must enumerate
-// exactly like its 20-node twin.
-func TestWideModeMatchesNarrowOnSharedTopology(t *testing.T) {
+// Path membership rows are one 64-bit word per 64 nodes, so the
+// population size sets the row width. A small contact chain must
+// enumerate identically on a one-word population, at the word
+// boundary, just past it, and several words wide.
+func TestEnumerationIndependentOfPopulationSize(t *testing.T) {
 	cs := []trace.Contact{
 		{A: 0, B: 1, Start: 0, End: 30},
 		{A: 1, B: 2, Start: 40, End: 70},
 		{A: 2, B: 3, Start: 80, End: 110},
 		{A: 0, B: 3, Start: 120, End: 150},
 	}
-	narrow, err := trace.New("narrow", 20, 200, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := trace.New("wide", 200, 200, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	en, err := NewEnumerator(narrow, Options{K: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ew, err := NewEnumerator(wide, Options{K: 50})
-	if err != nil {
-		t.Fatalf("wide population rejected: %v", err)
-	}
-	if !ew.wide || en.wide {
-		t.Fatalf("wide flags: narrow %v, wide %v", en.wide, ew.wide)
-	}
-	rn, err := en.Enumerate(Message{Src: 0, Dst: 3, Start: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw, err := ew.Enumerate(Message{Src: 0, Dst: 3, Start: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rn.Arrivals) != len(rw.Arrivals) {
-		t.Fatalf("arrivals %d vs %d", len(rn.Arrivals), len(rw.Arrivals))
-	}
-	for i := range rn.Arrivals {
-		if rn.Arrivals[i].String() != rw.Arrivals[i].String() {
-			t.Errorf("arrival %d: %s vs %s", i, rn.Arrivals[i], rw.Arrivals[i])
+	var want string
+	for _, n := range []int{4, 64, 65, 200} {
+		tr, err := trace.New("chain", n, 200, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := enumFor(t, tr, Options{K: 50}).Enumerate(Message{Src: 0, Dst: 3, Start: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.NumPaths() == 0 {
+			t.Fatalf("%d nodes: no arrivals", n)
+		}
+		got := resultKey(r)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("%d nodes:\n got %q\nwant %q", n, got, want)
 		}
 	}
 }

@@ -84,18 +84,15 @@ func (g *refGraph) stepOf(t float64) int {
 	return s
 }
 
-// refEnumerator is the pre-index dynamic program (paper Figure 3).
+// refEnumerator is the pre-index dynamic program (paper Figure 3). It
+// resolves path membership only by walking public parent chains
+// (Path.Contains), while the enumerator under test uses its bitset
+// rows: the two share no membership machinery, so agreement pins loop
+// avoidance and first-preference pruning for every population size.
 type refEnumerator struct {
 	tr  *trace.Trace
 	g   *refGraph
 	opt Options
-
-	// chains switches path-membership queries from the nodeSet bitsets
-	// (which cap out at maxNodes) to walks of the public parent chain.
-	// It turns the reference into an implementation-independent check
-	// of wide mode: the enumerator under test resolves membership
-	// through its bitset rows, the reference through the chains.
-	chains bool
 
 	visited  []int
 	epoch    int
@@ -108,27 +105,12 @@ func newRefEnumerator(tr *trace.Trace, opt Options) *refEnumerator {
 		tr:      tr,
 		g:       refNewGraph(tr, opt.Delta),
 		opt:     opt,
-		chains:  tr.NumNodes > maxNodes,
 		visited: make([]int, tr.NumNodes),
 	}
 }
 
-// pathHas reports whether node n is on path p, via the mode-appropriate
-// membership mechanism.
-func (e *refEnumerator) pathHas(p *Path, n trace.NodeID) bool {
-	if e.chains {
-		return p.Contains(n)
-	}
-	return p.members.has(n)
-}
-
-// prune removes table paths containing a delivered node. dn and
-// delivered describe the same set; chain mode walks parent chains
-// against dn, bitset mode intersects nodeSets.
-func (e *refEnumerator) prune(paths []*Path, dn []trace.NodeID, delivered nodeSet) []*Path {
-	if !e.chains {
-		return refPruneContaining(paths, delivered)
-	}
+// refPrune removes table paths containing a node of dn.
+func refPrune(paths []*Path, dn []trace.NodeID) []*Path {
 	out := paths[:0]
 	for _, p := range paths {
 		hit := false
@@ -185,13 +167,9 @@ func (e *refEnumerator) enumerate(msg Message) *Result {
 			}
 		}
 		if dn := e.g.adj[s][msg.Dst]; len(dn) > 0 {
-			var delivered nodeSet
-			for _, d := range dn {
-				delivered = delivered.with(d)
-			}
 			alive := false
 			for i := 0; i < n; i++ {
-				table[i] = e.prune(table[i], dn, delivered)
+				table[i] = refPrune(table[i], dn)
 				alive = alive || len(table[i]) > 0
 			}
 			if !alive {
@@ -291,7 +269,7 @@ func (e *refEnumerator) extendBFS(res *Result, p *Path, s int, queue []*Path, ta
 				}
 				continue
 			}
-			if e.visited[nb] == epoch || e.pathHas(p, nb) {
+			if e.visited[nb] == epoch || p.Contains(nb) {
 				continue
 			}
 			e.visited[nb] = epoch
@@ -312,19 +290,6 @@ func (e *refEnumerator) extendBFS(res *Result, p *Path, s int, queue []*Path, ta
 		}
 	}
 	return queue[:0]
-}
-
-func refPruneContaining(paths []*Path, delivered nodeSet) []*Path {
-	out := paths[:0]
-	for _, p := range paths {
-		if !p.members.intersects(delivered) {
-			out = append(out, p)
-		}
-	}
-	for i := len(out); i < len(paths); i++ {
-		paths[i] = nil
-	}
-	return out
 }
 
 func (e *refEnumerator) mergeShortest(existing, cands []*Path) []*Path {

@@ -18,37 +18,6 @@ import (
 	"repro/internal/trace"
 )
 
-// maxNodes bounds the population size the two-word membership bitset
-// covers; traces up to this size (the paper's have 98 nodes) track
-// path membership in nodeSet for O(1) loop avoidance and
-// first-preference pruning. Larger populations — the city-scale
-// datasets — run the same dynamic program in "wide" mode, where each
-// table entry carries a full-width membership bitset row in a slab
-// arena instead (see Enumerator.wide and rowArena); their nodeSets
-// stay empty.
-const maxNodes = 128
-
-// nodeSet is a fixed-width bitset over node IDs < maxNodes. Nodes
-// outside that range are never recorded (wide mode keeps membership
-// elsewhere), so has reports false and with is a no-op for them.
-type nodeSet [2]uint64
-
-func (s nodeSet) has(n trace.NodeID) bool {
-	return int(n) < maxNodes && s[n>>6]&(1<<(uint(n)&63)) != 0
-}
-
-func (s nodeSet) with(n trace.NodeID) nodeSet {
-	if int(n) < maxNodes {
-		s[n>>6] |= 1 << (uint(n) & 63)
-	}
-	return s
-}
-
-// intersects reports whether the two sets share any node.
-func (s nodeSet) intersects(t nodeSet) bool {
-	return s[0]&t[0] != 0 || s[1]&t[1] != 0
-}
-
 // Path is one valid space-time path, stored as an immutable chain of
 // hops sharing prefixes with sibling paths. Node is the node reached
 // by the final hop, Step the space-time step at which it was reached,
@@ -59,8 +28,7 @@ type Path struct {
 	Step int
 	Hops int
 
-	parent  *Path
-	members nodeSet
+	parent *Path
 }
 
 // Parent returns the path prefix before the final hop, or nil for the
@@ -132,18 +100,12 @@ func (p *Path) String() string {
 
 // extend creates the path p plus one hop to node n at step s.
 func (p *Path) extend(n trace.NodeID, s int) *Path {
-	return &Path{
-		Node:    n,
-		Step:    s,
-		Hops:    p.Hops + 1,
-		parent:  p,
-		members: p.members.with(n),
-	}
+	return &Path{Node: n, Step: s, Hops: p.Hops + 1, parent: p}
 }
 
 // newSource creates the zero-hop path holding only the source tuple.
 func newSource(n trace.NodeID, s int) *Path {
-	return &Path{Node: n, Step: s, members: nodeSet{}.with(n)}
+	return &Path{Node: n, Step: s}
 }
 
 // pnode is the arena-internal representation of one path tuple. It is
@@ -152,13 +114,14 @@ func newSource(n trace.NodeID, s int) *Path {
 // path tree — the hot loop creates one pnode per table candidate and
 // BFS extension, millions per message on a conference trace. Node,
 // step and hop counts fit int32 comfortably (hops are bounded by the
-// population size through the loop-freedom invariant).
+// population size through the loop-freedom invariant). Path membership
+// lives outside the tree, in one bitset row per table entry (see
+// rowArena), so a pnode is 16 bytes.
 type pnode struct {
-	members nodeSet
-	parent  int32 // arena index of the prefix, -1 for the source tuple
-	node    int32
-	step    int32
-	hops    int32
+	parent int32 // arena index of the prefix, -1 for the source tuple
+	node   int32
+	step   int32
+	hops   int32
 }
 
 // pathArena is a chunked slab allocator for pnodes, indexed by a dense
@@ -178,7 +141,7 @@ type pathArena struct {
 	spare  [][]pnode
 }
 
-// arenaShift sizes chunks at 1024 pnodes (32 KiB): well under typical
+// arenaShift sizes chunks at 1024 pnodes (16 KiB): well under typical
 // L2, while making the per-pnode allocation cost ~1/1024 of a heap
 // allocation.
 const (
@@ -213,22 +176,16 @@ func (a *pathArena) alloc() (int32, *pnode) {
 // source allocates the zero-hop path holding only the source tuple.
 func (a *pathArena) source(n trace.NodeID, s int) int32 {
 	i, p := a.alloc()
-	*p = pnode{members: nodeSet{}.with(n), parent: -1, node: int32(n), step: int32(s)}
+	*p = pnode{parent: -1, node: int32(n), step: int32(s)}
 	return i
 }
 
 // extend allocates the path q plus one hop to node n at step s. The
-// caller supplies q's members and hops (already loaded for the BFS) to
-// spare a second lookup.
-func (a *pathArena) extend(q int32, qMembers nodeSet, qHops int32, n trace.NodeID, s int) int32 {
+// caller supplies q's hop count (already held in its BFS queue slot),
+// so extending never loads the parent pnode.
+func (a *pathArena) extend(q, qHops int32, n trace.NodeID, s int) int32 {
 	i, p := a.alloc()
-	*p = pnode{
-		members: qMembers.with(n),
-		parent:  q,
-		node:    int32(n),
-		step:    int32(s),
-		hops:    qHops + 1,
-	}
+	*p = pnode{parent: q, node: int32(n), step: int32(s), hops: qHops + 1}
 	return i
 }
 
@@ -253,7 +210,7 @@ func (a *pathArena) forkFrom(base *pathArena) {
 }
 
 // arenaRetainChunks caps the chunks an arena keeps across calls
-// (~32 MB of pnodes). An explosion-scale enumeration can touch tens of
+// (~16 MB of pnodes). An explosion-scale enumeration can touch tens of
 // millions of paths; retaining its full arena in the scratch pool
 // would pin that peak forever, so overflow chunks are released to the
 // garbage collector and reallocated (one allocation per 1024 pnodes)

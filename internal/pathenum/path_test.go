@@ -6,50 +6,6 @@ import (
 	"repro/internal/trace"
 )
 
-func TestNodeSet(t *testing.T) {
-	var s nodeSet
-	if s.has(0) || s.has(127) {
-		t.Errorf("empty set has members")
-	}
-	s = s.with(0).with(63).with(64).with(127)
-	for _, n := range []trace.NodeID{0, 63, 64, 127} {
-		if !s.has(n) {
-			t.Errorf("missing %d", n)
-		}
-	}
-	for _, n := range []trace.NodeID{1, 62, 65, 126} {
-		if s.has(n) {
-			t.Errorf("spurious %d", n)
-		}
-	}
-}
-
-func TestNodeSetIntersects(t *testing.T) {
-	a := nodeSet{}.with(3).with(70)
-	b := nodeSet{}.with(70)
-	c := nodeSet{}.with(4)
-	if !a.intersects(b) {
-		t.Errorf("a∩b should intersect")
-	}
-	if a.intersects(c) {
-		t.Errorf("a∩c should not intersect")
-	}
-	if (nodeSet{}).intersects(a) {
-		t.Errorf("empty set intersects")
-	}
-}
-
-func TestNodeSetImmutability(t *testing.T) {
-	a := nodeSet{}.with(5)
-	b := a.with(9)
-	if a.has(9) {
-		t.Errorf("with mutated receiver")
-	}
-	if !b.has(5) || !b.has(9) {
-		t.Errorf("with lost members")
-	}
-}
-
 func TestPathChain(t *testing.T) {
 	p := newSource(3, 0)
 	p = p.extend(5, 2)

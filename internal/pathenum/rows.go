@@ -2,15 +2,14 @@ package pathenum
 
 import "repro/internal/trace"
 
-// Wide populations (beyond the nodeSet bitset capacity) keep one
-// membership bitset row per resident table entry: ceil(n/64) uint64
-// words in a chunked slab, addressed by a dense int32 row handle
-// carried in the entry. Membership — loop avoidance at the BFS root
-// and first-preference pruning — is then one word-indexed bit test or
-// a word-wise AND sweep, instead of the parent-chain walks the wide
-// mode used before. Each entry owns its row exclusively from the
-// moment the acceptance test admits it (the root's row copied, branch
-// nodes OR-ed in), so dropped entries recycle their rows immediately.
+// Every resident table entry keeps its path's membership as one bitset
+// row: ceil(n/64) uint64 words in a chunked slab, addressed by a dense
+// int32 row handle carried in the entry. Membership — loop avoidance
+// at the BFS root and first-preference pruning — is then one
+// word-indexed bit test or a word-wise AND sweep, for every population
+// size. Each entry owns its row exclusively from the moment the
+// acceptance test admits it (the root's row copied, branch nodes OR-ed
+// in), so dropped entries recycle their rows immediately.
 //
 // rowArena is the chunked slab holding the rows. Chunks hold
 // rowChunkRows rows each, so handle arithmetic is two shifts; freed
@@ -40,19 +39,34 @@ func (r *rowArena) row(h int32) []uint64 {
 
 // alloc returns a zeroed row handle.
 func (r *rowArena) alloc() int32 {
+	h := r.take()
+	clear(r.row(h))
+	return h
+}
+
+// allocCopy returns a fresh row handle and its words, initialized to a
+// copy of src, skipping the zeroing alloc would do. This is the hot row
+// operation: one per accepted candidate.
+func (r *rowArena) allocCopy(src []uint64) (int32, []uint64) {
+	h := r.take()
+	row := r.row(h)
+	copy(row, src)
+	return h, row
+}
+
+// take returns a row handle with stale contents: the most recently
+// freed one, else the next unused slot.
+func (r *rowArena) take() int32 {
 	if k := len(r.free); k > 0 {
 		h := r.free[k-1]
 		r.free = r.free[:k-1]
-		clear(r.row(h))
 		return h
 	}
-	ci := int(r.n) >> rowShift
-	if ci == len(r.chunks) {
+	if int(r.n)>>rowShift == len(r.chunks) {
 		r.growChunk()
 	}
 	h := r.n
 	r.n++
-	clear(r.row(h))
 	return h
 }
 
@@ -67,26 +81,6 @@ func (r *rowArena) growChunk() {
 	r.chunks = append(r.chunks, make([]uint64, rowChunkRows*int(r.words)))
 }
 
-// allocCopy returns a fresh row initialized to a copy of src, skipping
-// the zeroing alloc would do (the copy overwrites every word). This is
-// the hot row operation: one per accepted candidate.
-func (r *rowArena) allocCopy(src int32) int32 {
-	var h int32
-	if k := len(r.free); k > 0 {
-		h = r.free[k-1]
-		r.free = r.free[:k-1]
-	} else {
-		ci := int(r.n) >> rowShift
-		if ci == len(r.chunks) {
-			r.growChunk()
-		}
-		h = r.n
-		r.n++
-	}
-	copy(r.row(h), r.row(src))
-	return h
-}
-
 // freeRow recycles a row. Handles below the fork floor are shared with
 // the base arena and silently kept alive instead (the fork's reset
 // reclaims everything anyway).
@@ -98,18 +92,6 @@ func (r *rowArena) freeRow(h int32) {
 
 func (r *rowArena) set(h int32, n trace.NodeID) {
 	r.row(h)[n>>6] |= 1 << (uint(n) & 63)
-}
-
-// intersects reports whether row h shares a node with the bitset bits
-// (len(bits) == words).
-func (r *rowArena) intersects(h int32, bits []uint64) bool {
-	row := r.row(h)
-	for i, w := range bits {
-		if row[i]&w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // forkFrom turns r into a layered fork of base: base's chunks become a
@@ -130,16 +112,14 @@ func (r *rowArena) forkFrom(base *rowArena) {
 	r.floor = r.n
 }
 
-// reset rewinds the arena for the next enumeration, honoring the same
-// ~32 MB scratch retention policy as the path arena: chunks beyond the
-// cap are released to the garbage collector.
+// reset rewinds the arena for the next enumeration, keeping up to
+// ~32 MB of row chunks for reuse: chunks beyond the cap are released
+// to the garbage collector.
 func (r *rowArena) reset() {
-	if r.words > 0 {
-		if maxRetain := int(4096 / r.words); len(r.chunks) > maxRetain {
-			keep := make([][]uint64, maxRetain)
-			copy(keep, r.chunks)
-			r.chunks = keep
-		}
+	if maxRetain := int(4096 / r.words); len(r.chunks) > maxRetain {
+		keep := make([][]uint64, maxRetain)
+		copy(keep, r.chunks)
+		r.chunks = keep
 	}
 	r.n = 0
 	r.free = r.free[:0]

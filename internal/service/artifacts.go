@@ -221,7 +221,7 @@ func (a *artifacts) graph(dataset string, delta float64, ot *obs.Trace, cc *engi
 }
 
 func (a *artifacts) buildGraph(dataset string, delta float64, ot *obs.Trace, cc *engine.Cancel) (*stgraph.Graph, error) {
-	tr, err := a.reg.TraceCancel(dataset, cc)
+	tr, err := a.reg.traceCancel(dataset, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +261,7 @@ func (a *artifacts) loadGraph(dataset string, delta float64, tr *trace.Trace, cc
 func (a *artifacts) enumerator(dataset string, opt pathenum.Options, ot *obs.Trace, cc *engine.Cancel) (*pathenum.Enumerator, error) {
 	key := enumKey{dataset, opt.Delta, opt.K, opt.TableWidth, opt.MaxArrivals, opt.Workers}
 	return a.enums.get(cc, key, func() (*pathenum.Enumerator, error) {
-		tr, err := a.reg.TraceCancel(dataset, cc)
+		tr, err := a.reg.traceCancel(dataset, cc)
 		if err != nil {
 			return nil, err
 		}
@@ -277,7 +277,7 @@ func (a *artifacts) enumerator(dataset string, opt pathenum.Options, ot *obs.Tra
 // oracle tables plus pooled per-run simulation state, shared by every
 // /simulate request for the dataset.
 func (a *artifacts) sweep(dataset string, ot *obs.Trace, cc *engine.Cancel) (*dtnsim.Sweep, *trace.Trace, error) {
-	tr, err := a.reg.TraceCancel(dataset, cc)
+	tr, err := a.reg.traceCancel(dataset, cc)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -464,13 +464,17 @@ func (s *Server) simulate(req SimulateRequest, ot *obs.Trace, cc *engine.Cancel)
 	runs := make([]*dtnsim.Result, req.Runs)
 	for i := range runs {
 		msgs := dtnsim.Workload(tr, req.Rate, tr.Horizon*req.GenFraction, engine.DeriveSeed(req.Seed, i))
-		res, err := sweep.RunObs(dtnsim.Config{
+		// Only the warm replay is timed here: the oracle tables were
+		// timed under obs.StageOracleBuild when the sweep was built.
+		sp := ot.Start(obs.StageSimRun)
+		res, err := sweep.Run(dtnsim.Config{
 			Algorithm: alg,
 			Messages:  msgs,
 			CopyMode:  mode,
 			Workers:   req.Workers,
 			Cancel:    cc,
-		}, ot)
+		})
+		sp.End()
 		if err != nil {
 			if engine.IsCanceled(err) {
 				return nil, err

@@ -216,17 +216,17 @@ func (e *UnknownDatasetError) Error() string {
 // memoized: the next request retries the file instead of the error
 // permanently poisoning the dataset until restart.
 func (r *Registry) Trace(name string) (*trace.Trace, error) {
-	return r.TraceCancel(name, nil)
+	return r.traceCancel(name, nil)
 }
 
-// TraceCancel is Trace with a cancellation token honored while waiting
+// traceCancel is Trace with a cancellation token honored while waiting
 // on another caller's in-progress build: a waiter whose token fires
 // abandons the wait with a *engine.CanceledError while the build keeps
 // running for everyone else. The builder itself runs to completion —
 // dataset builds are shared state, and a half-built trace helps
 // nobody — so a request that starts a build pays for it even if its
 // own deadline passes meanwhile.
-func (r *Registry) TraceCancel(name string, cc *engine.Cancel) (*trace.Trace, error) {
+func (r *Registry) traceCancel(name string, cc *engine.Cancel) (*trace.Trace, error) {
 	r.mu.Lock()
 	e, ok := r.entries[name]
 	r.mu.Unlock()

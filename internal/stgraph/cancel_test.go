@@ -15,7 +15,7 @@ import (
 // serial and parallel.
 func TestNewWorkersCancelEquivalence(t *testing.T) {
 	tr := tracegen.Dev(9)
-	plain, err := NewWorkers(tr, DefaultDelta, 1)
+	plain, err := NewWorkersCancel(tr, DefaultDelta, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -435,7 +435,7 @@ func TestGoldenWorkerCounts(t *testing.T) {
 	tr := tracegen.Dev(3)
 	want := refNew(tr, 10)
 	for _, workers := range []int{1, 2, 3, 8} {
-		g, err := NewWorkers(tr, 10, workers)
+		g, err := NewWorkersCancel(tr, 10, workers, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,25 +118,21 @@ func (f *frame) row(x trace.NodeID) []trace.NodeID {
 // [T·Δ, (T+1)·Δ): a contact active at any point in that interval
 // produces a zero-weight edge at that step.
 func New(tr *trace.Trace, delta float64) (*Graph, error) {
-	return NewWorkers(tr, delta, 0)
+	return NewWorkersCancel(tr, delta, 0, nil, nil)
 }
 
-// NewWorkers is New with an explicit worker count for the per-frame
-// construction fan-out (0 = GOMAXPROCS, 1 = serial). The built graph
-// is byte-identical for every worker count.
-func NewWorkers(tr *trace.Trace, delta float64, workers int) (*Graph, error) {
-	return NewWorkersCancel(tr, delta, workers, nil, nil)
-}
-
-// NewWorkersCancel is NewWorkers with stage spans recorded into ot and
-// a cooperative cancellation token. The event sweep (boundary bucketing
-// plus frame-spec emission) and the frame fill (CSR rows, components,
-// distance tables, stable-component marks) are timed separately, so a
-// serving layer can tell which half of a cold build dominates. cc is
-// polled at amortized checkpoints of both build halves; once it fires
-// the build abandons with a *engine.CanceledError and no graph. A nil
-// ot costs one pointer check, a nil cc is inert, and a token that
-// never fires leaves the built graph byte-identical.
+// NewWorkersCancel is New with an explicit worker count for the
+// per-frame construction fan-out (0 = GOMAXPROCS, 1 = serial), stage
+// spans recorded into ot and a cooperative cancellation token. The
+// built graph is byte-identical for every worker count. The event
+// sweep (boundary bucketing plus frame-spec emission) and the frame
+// fill (CSR rows, components, distance tables, stable-component marks)
+// are timed separately, so a serving layer can tell which half of a
+// cold build dominates. cc is polled at amortized checkpoints of both
+// build halves; once it fires the build abandons with a
+// *engine.CanceledError and no graph. A nil ot costs one pointer
+// check, a nil cc is inert, and a token that never fires leaves the
+// built graph byte-identical.
 func NewWorkersCancel(tr *trace.Trace, delta float64, workers int, ot *obs.Trace, cc *engine.Cancel) (*Graph, error) {
 	if delta <= 0 {
 		return nil, fmt.Errorf("stgraph: delta %g must be positive", delta)

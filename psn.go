@@ -191,11 +191,10 @@ func DevTrace(seed int64) *Trace { return tracegen.Dev(seed) }
 
 // Path enumeration.
 type (
-	// Enumerator enumerates valid forwarding paths for messages.
-	// Populations beyond 128 nodes (the city-scale datasets) run in
-	// wide mode — identical dynamic program, path membership kept as
-	// full-width bitset rows in a slab arena instead of the two-word
-	// per-path bitsets. EnumerateAll groups a batch by (source, start
+	// Enumerator enumerates valid forwarding paths for messages. Path
+	// membership is kept as bitset rows in a slab arena, one word per
+	// 64 nodes, so every population runs the identical dynamic
+	// program. EnumerateAll groups a batch by (source, start
 	// step) and shares one destination-free dynamic-program prefix per
 	// group, forking a private continuation per destination at its
 	// first contact step; results are byte-identical to independent
@@ -270,8 +269,9 @@ func Simulate(cfg SimConfig) (*SimResult, error) { return dtnsim.Run(cfg) }
 
 // SimOracle holds the precomputed read-only simulation tables of one
 // trace (contact totals, MEED distances, the sorted event stream).
-// Build it once with NewSimOracle and set SimConfig.Oracle to share it
-// across many runs of the same trace.
+// Build it with NewSimOracle to persist it in the artifact store
+// (psn-warm); a SimSweep builds and shares its own across many runs of
+// the same trace.
 type SimOracle = dtnsim.Oracle
 
 // NewSimOracle precomputes the simulation tables for a trace.
