@@ -194,9 +194,12 @@ func BenchmarkSimulateMEED(b *testing.B) {
 	}
 }
 
-// BenchmarkMEEDDistances pins the flattened Floyd-Warshall closure
-// (shared with psn-bench snapshots via benchsuite).
-func BenchmarkMEEDDistances(b *testing.B) { benchsuite.MEEDDistances(b) }
+// BenchmarkMEEDDistances pins the serial triangular Floyd-Warshall
+// closure on a 98-node trace, and BenchmarkMEEDDistancesCity the
+// row-parallel one on a 1,000-node city trace (shared with psn-bench
+// snapshots via benchsuite).
+func BenchmarkMEEDDistances(b *testing.B)     { benchsuite.MEEDDistances(b) }
+func BenchmarkMEEDDistancesCity(b *testing.B) { benchsuite.MEEDDistancesCity(b) }
 
 func BenchmarkODESolve(b *testing.B) {
 	u0 := analytic.SourceInitial(1000, 100)

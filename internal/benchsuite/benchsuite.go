@@ -47,6 +47,7 @@ func Specs() []Spec {
 		{"SimulateSweep", SimulateSweep},
 		{"SimulateCitySweep", SimulateCitySweep},
 		{"MEEDDistances", MEEDDistances},
+		{"MEEDDistancesCity", MEEDDistancesCity},
 		{"ServeEnumerateWarm", ServeEnumerateWarm},
 		{"WarmStartLoad", WarmStartLoad},
 	}
@@ -360,10 +361,30 @@ func SimulateSweep(b *testing.B) {
 	}
 }
 
-// MEEDDistances pins the flattened all-pairs Floyd-Warshall closure of
-// the MEED oracle metric — the O(n³) share of every cold simulation.
+// MEEDDistances pins the all-pairs Floyd-Warshall closure of the MEED
+// oracle metric — the O(n³) share of every cold Dynamic Programming
+// simulation — on a 98-node conference trace, below the population at
+// which the closure splits its rows across workers: it times the
+// serial triangular closure.
 func MEEDDistances(b *testing.B) {
 	tr := tracegen.MustGenerate(tracegen.Conext0912)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forward.MEEDDistances(tr)
+	}
+}
+
+// city1kTrace memoizes a 1,000-node city trace for MEEDDistancesCity.
+var city1kTrace = sync.OnceValue(func() *trace.Trace {
+	return tracegen.MustCity(1000, 1)
+})
+
+// MEEDDistancesCity times the MEED closure at city scale, where each
+// pivot's rows are split across GOMAXPROCS workers. At 1,000 nodes it
+// does an eighth of the work of the city-2k closure.
+func MEEDDistancesCity(b *testing.B) {
+	tr := city1kTrace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

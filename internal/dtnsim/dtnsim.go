@@ -102,8 +102,12 @@ type Config struct {
 // read of any run (views install the oracle with a resolver): the
 // Floyd-Warshall closure is cubic in the population, which city-scale
 // traces cannot afford to pay for algorithms — epidemic floods,
-// encounter gradients — that never look at it. Runs are byte-identical
-// either way; the table is a pure function of the trace.
+// encounter gradients — that never look at it. forward.MEEDDistances
+// relaxes only the upper triangle of the symmetric matrix and, from a
+// few hundred nodes on, splits each pivot's rows across GOMAXPROCS
+// goroutines; its result is bit-identical to a serial full-matrix
+// closure. Runs are byte-identical either way; the table is a pure
+// function of the trace.
 type Oracle struct {
 	tr     *trace.Trace
 	totals []int

@@ -396,7 +396,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, ri *reqI
 	}
 	ri.dataset = req.Dataset
 	req.withDefaults()
-	req.Workers = s.workers(req.Workers)
 	key := simulateKey(req)
 	data, err := s.results.Get(&ri.cancel, key, func() ([]byte, error) {
 		resp, err := s.simulate(req, &ri.obs, &ri.cancel)
@@ -411,6 +410,18 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, ri *reqI
 	}
 	writeRaw(w, data)
 }
+
+// maxSimulateRuns and maxSimulateMessages cap one /simulate request:
+// its runs, and the messages its workloads generate over all runs
+// (rate × horizon × genFraction × runs). Workload generation cannot be
+// cancelled and every message costs memory in each run, so without
+// them a small body could hold the server for minutes and exhaust its
+// memory. Both sit far above any paper-scale simulation; larger
+// studies split into several requests.
+const (
+	maxSimulateRuns     = 1000
+	maxSimulateMessages = 1_000_000
+)
 
 // simulateKey canonicalizes a simulation request (defaults already
 // applied). Workers is excluded: results are byte-identical for every
@@ -454,9 +465,17 @@ func (s *Server) simulate(req SimulateRequest, ot *obs.Trace, cc *engine.Cancel)
 	if req.Rate < 0 || req.GenFraction < 0 || req.GenFraction > 1 || req.Runs < 0 {
 		return nil, badRequest("negative rate/runs or genFraction outside [0,1]")
 	}
+	if req.Runs > maxSimulateRuns {
+		return nil, badRequest("%d runs exceed the %d-run limit", req.Runs, maxSimulateRuns)
+	}
 	sweep, tr, err := s.art.sweep(req.Dataset, ot, cc)
 	if err != nil {
 		return nil, err
+	}
+	// Negated so that a product that overflowed to +Inf is refused too.
+	if msgs := req.Rate * tr.Horizon * req.GenFraction * float64(req.Runs); !(msgs <= maxSimulateMessages) {
+		return nil, badRequest("rate %g × %g s × genFraction %g × %d runs is about %.3g messages, over the %d-message limit",
+			req.Rate, tr.Horizon, req.GenFraction, req.Runs, msgs, maxSimulateMessages)
 	}
 	if err := s.art.faults.FireCancel(faultinject.PointSimulate, cc); err != nil {
 		return nil, err
@@ -471,7 +490,7 @@ func (s *Server) simulate(req SimulateRequest, ot *obs.Trace, cc *engine.Cancel)
 			Algorithm: alg,
 			Messages:  msgs,
 			CopyMode:  mode,
-			Workers:   req.Workers,
+			Workers:   s.workers(req.Workers),
 			Cancel:    cc,
 		})
 		sp.End()
@@ -660,12 +679,16 @@ func (s *Server) figureData(id string, p FigureParamsJSON, cc *engine.Cancel) (*
 }
 
 // workers resolves a request-level workers override against the
-// server default.
+// server's own worker count, which is also its ceiling: each
+// simulation shard and enumeration worker holds scratch of its own, so
+// a request must not choose how many exist. Results are byte-identical
+// for every worker count, so the clamp changes no reply.
 func (s *Server) workers(reqWorkers int) int {
-	if reqWorkers != 0 {
+	ceiling := engine.Workers(s.cfg.Workers)
+	if reqWorkers > 0 && reqWorkers < ceiling {
 		return reqWorkers
 	}
-	return s.cfg.Workers
+	return ceiling
 }
 
 func queryInt(r *http.Request, name string) (int, error) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -278,6 +279,39 @@ func TestServedSimulateWorkerEquivalence(t *testing.T) {
 	_, b := post(t, serial.URL+"/simulate", body)
 	if !bytes.Equal(a, b) {
 		t.Errorf("workers=4 and workers=1 servers differ:\n%s\n%s", a, b)
+	}
+}
+
+// TestSimulateLimits: a /simulate body just over the run limit or the
+// message limit, or whose message count overflows to +Inf, gets 400
+// before any workload is generated.
+func TestSimulateLimits(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	window := tracegen.Dev(1).Horizon * 2 / 3
+	for _, body := range []string{
+		fmt.Sprintf(`{"dataset":"dev","algorithm":"epidemic","runs":%d}`, maxSimulateRuns+1),
+		fmt.Sprintf(`{"dataset":"dev","algorithm":"epidemic","rate":%v}`, (maxSimulateMessages+1)/window),
+		`{"dataset":"dev","algorithm":"epidemic","rate":1e308,"runs":2}`,
+	} {
+		if status, out := post(t, ts.URL+"/simulate", body); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", body, status, out)
+		}
+	}
+}
+
+// TestRequestWorkersClampedToServer: a request may lower the server's
+// worker count but never raise it, since each worker holds scratch of
+// its own.
+func TestRequestWorkersClampedToServer(t *testing.T) {
+	s := New(Config{Workers: 2})
+	for req, want := range map[int]int{0: 2, -3: 2, 1: 1, 2: 2, 16: 2, 200: 2} {
+		if got := s.workers(req); got != want {
+			t.Errorf("Workers 2 server: request workers %d resolve to %d, want %d", req, got, want)
+		}
+	}
+	s = New(Config{})
+	if got, want := s.workers(1<<20), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("default server: request workers %d resolve to %d, want GOMAXPROCS %d", 1<<20, got, want)
 	}
 }
 

@@ -30,8 +30,9 @@ type Config struct {
 	Registry *Registry
 
 	// Workers is the default engine worker count for experiment
-	// requests (a request may override it downward or upward; results
-	// are byte-identical either way). Zero means runtime.GOMAXPROCS(0).
+	// requests, and their ceiling: a request may lower it but not
+	// raise it (results are byte-identical either way). Zero means
+	// runtime.GOMAXPROCS(0).
 	Workers int
 
 	// MaxInflight bounds the experiment requests executing

@@ -82,9 +82,7 @@ func New(name string, numNodes int, horizon float64, contacts []Contact) (*Trace
 	if !(horizon > 0) || math.IsInf(horizon, 1) {
 		return nil, fmt.Errorf("%w: horizon %g", ErrInvalid, horizon)
 	}
-	cs := make([]Contact, len(contacts))
-	copy(cs, contacts)
-	for i, c := range cs {
+	for i, c := range contacts {
 		if c.A < 0 || int(c.A) >= numNodes || c.B < 0 || int(c.B) >= numNodes {
 			return nil, fmt.Errorf("%w: contact %d endpoints (%d,%d) out of range [0,%d)",
 				ErrInvalid, i, c.A, c.B, numNodes)
@@ -97,25 +95,43 @@ func New(name string, numNodes int, horizon float64, contacts []Contact) (*Trace
 				ErrInvalid, i, c.Start, c.End, horizon)
 		}
 	}
-	// slices.SortStableFunc: same stable (Start, End) order as the
-	// reflection-based sort.SliceStable it replaced, at a fraction of
-	// the cost — city-scale generation sorts ≥1M contacts.
-	slices.SortStableFunc(cs, func(a, b Contact) int {
-		if a.Start != b.Start {
-			if a.Start < b.Start {
+	// Contacts are stored in stable (Start, End) order. An unstable
+	// sort under the total order (Start, End, input position) yields
+	// exactly that order, without the merge passes that made
+	// slices.SortStableFunc most of the cost of city-scale generation
+	// (≥1M contacts). Only the keys are sorted; the contacts are then
+	// gathered from the caller's slice into the trace's own copy.
+	keys := make([]contactKey, len(contacts))
+	for i, c := range contacts {
+		keys[i] = contactKey{start: c.Start, end: c.End, pos: i}
+	}
+	slices.SortFunc(keys, func(a, b contactKey) int {
+		if a.start != b.start {
+			if a.start < b.start {
 				return -1
 			}
 			return 1
 		}
-		if a.End != b.End {
-			if a.End < b.End {
+		if a.end != b.end {
+			if a.end < b.end {
 				return -1
 			}
 			return 1
 		}
-		return 0
+		return a.pos - b.pos
 	})
+	cs := make([]Contact, len(contacts))
+	for r, k := range keys {
+		cs[r] = contacts[k.pos]
+	}
 	return &Trace{Name: name, NumNodes: numNodes, Horizon: horizon, contacts: cs}, nil
+}
+
+// contactKey is a contact's sort key in New: its times and its
+// position in the caller's slice.
+type contactKey struct {
+	start, end float64
+	pos        int
 }
 
 // MustNew is like New but panics on error. Intended for tests and

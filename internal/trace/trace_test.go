@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -122,6 +124,84 @@ func TestNewCopiesInput(t *testing.T) {
 	if tr.Contacts()[0].A != 0 {
 		t.Errorf("trace aliases caller slice")
 	}
+}
+
+// TestNewKeepsStableOrder pins New's order to a stable sort by
+// (Start, End): contacts with equal times keep their input order.
+// The inputs are long enough that an unstable sort would reorder
+// ties, and New must leave the caller's slice as it was.
+func TestNewKeepsStableOrder(t *testing.T) {
+	const n, horizon = 2000, 1000.0
+	rng := rand.New(rand.NewSource(7))
+	draw := func(times func(i int) (float64, float64)) []Contact {
+		cs := make([]Contact, n)
+		for i := range cs {
+			a := NodeID(rng.Intn(50))
+			cs[i].A, cs[i].B = a, (a+1+NodeID(rng.Intn(49)))%50
+			cs[i].Start, cs[i].End = times(i)
+		}
+		return cs
+	}
+	inputs := map[string][]Contact{
+		"random": draw(func(int) (float64, float64) {
+			s := rng.Float64() * (horizon - 10)
+			return s, s + rng.Float64()*10
+		}),
+		"tie-heavy": draw(func(int) (float64, float64) {
+			s := float64(rng.Intn(20))
+			return s, s + float64(rng.Intn(3))
+		}),
+		"all-equal": draw(func(int) (float64, float64) { return 5, 6 }),
+		"pre-sorted": draw(func(i int) (float64, float64) {
+			return float64(i / 4), float64(i/4 + 1)
+		}),
+		"reverse-sorted": draw(func(i int) (float64, float64) {
+			return float64((n - i) / 4), float64((n-i)/4 + 1)
+		}),
+		// -0 passes validation and compares equal to +0.
+		"signed zeros": draw(func(i int) (float64, float64) {
+			if i%2 == 0 {
+				return math.Copysign(0, -1), 1
+			}
+			return 0, 1
+		}),
+	}
+	for name, in := range inputs {
+		before := slices.Clone(in)
+		want := slices.Clone(in)
+		slices.SortStableFunc(want, func(a, b Contact) int {
+			if c := cmp.Compare(a.Start, b.Start); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.End, b.End)
+		})
+		tr, err := New(name, 50, horizon, in)
+		if err != nil {
+			t.Fatalf("%s: New: %v", name, err)
+		}
+		if i := firstContactDiff(tr.Contacts(), want); i >= 0 {
+			t.Errorf("%s: contact %d is %+v, stable order has %+v", name, i, tr.Contacts()[i], want[i])
+		}
+		if i := firstContactDiff(in, before); i >= 0 {
+			t.Errorf("%s: New changed the caller's contact %d to %+v", name, i, in[i])
+		}
+	}
+}
+
+// firstContactDiff returns the first index at which a and b differ in
+// an endpoint or in the bits of a time, or -1 when they are the same.
+func firstContactDiff(a, b []Contact) int {
+	for i := range a {
+		if a[i].A != b[i].A || a[i].B != b[i].B ||
+			math.Float64bits(a[i].Start) != math.Float64bits(b[i].Start) ||
+			math.Float64bits(a[i].End) != math.Float64bits(b[i].End) {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
 }
 
 func TestWindow(t *testing.T) {
