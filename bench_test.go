@@ -120,12 +120,6 @@ func BenchmarkSpaceTimeGraphBuildLarge(b *testing.B) { benchsuite.SpaceTimeGraph
 func BenchmarkEnumerateCityMessage(b *testing.B)     { benchsuite.EnumerateCityMessage(b) }
 func BenchmarkSimulateCitySweep(b *testing.B)        { benchsuite.SimulateCitySweep(b) }
 
-// BenchmarkWarmStartLoad deserializes the city-scale graph from the
-// on-disk artifact store (internal/artstore) — the warm-start path of
-// psn-serve -artifacts. Compare against
-// BenchmarkSpaceTimeGraphBuildLarge for the warm-start speedup.
-func BenchmarkWarmStartLoad(b *testing.B) { benchsuite.WarmStartLoad(b) }
-
 // BenchmarkEnumerateNarrowTable is the ablation AB2 configuration
 // (TableWidth ≪ K): tables saturate early, so nearly all work runs
 // through the per-step threshold index rather than path extension.

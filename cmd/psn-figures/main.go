@@ -21,7 +21,7 @@ func main() {
 	var (
 		id       = flag.String("id", "", "render a single figure by id (e.g. F04a)")
 		list     = flag.Bool("list", false, "list available figures")
-		messages = flag.Int("messages", 0, "messages per dataset for enumeration figures (0 = default 60)")
+		messages = flag.Int("messages", 0, "messages per dataset for enumeration figures (0 = default 40)")
 		k        = flag.Int("k", 0, "explosion threshold (0 = paper's 2000)")
 		runs     = flag.Int("runs", 0, "simulation runs (0 = paper's 10)")
 		seed     = flag.Int64("seed", 1, "sampling seed")

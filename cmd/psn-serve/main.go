@@ -46,14 +46,13 @@ func main() {
 		workers      = flag.Int("workers", 0, "engine worker goroutines per request (0 = GOMAXPROCS; results are identical)")
 		maxInflight  = flag.Int("max-inflight", 0, "max experiment requests in flight (0 = 4x GOMAXPROCS, <0 = unlimited); excess requests get 503")
 		cacheSize    = flag.Int("cache-size", 0, "memoized-result LRU entries (0 = 256, <0 = disable)")
-		artifacts    = flag.String("artifacts", "", "artifact store directory (see psn-warm); warmed graphs and oracle tables load instead of building, with live build as fallback")
 		selfcheck    = flag.Bool("selfcheck", false, "start on an ephemeral port, verify /healthz and /enumerate against the library, and exit")
 		enablePprof  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (bypasses the in-flight limit)")
 		traceSlow    = flag.Duration("trace-slow", 0, "log a structured stage-breakdown line for requests at least this slow (0 = off), e.g. -trace-slow 250ms")
 		accessLog    = flag.Bool("access-log", false, "log one structured line per request (method, path, dataset, status, latency, request ID)")
 		reqTimeout   = flag.Duration("request-timeout", 0, "deadline per experiment request: compute abandons cooperatively and the client gets 503 + Retry-After (0 = 30s, <0 = no deadline)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound: /healthz flips to 503 and in-flight requests get this long to finish")
-		injectSpec   = flag.String("inject", "", "fault-injection spec, e.g. graph-load:corrupt*1,enumerate:delay=200ms,handler:panic (chaos testing only)")
+		injectSpec   = flag.String("inject", "", "fault-injection spec, e.g. graph-build:err*1,enumerate:delay=200ms,handler:panic (chaos testing only)")
 	)
 	reg := psn.NewRegistry()
 	flag.Func("trace", "register a file-backed dataset as name=path (repeatable)", func(v string) error {
@@ -79,7 +78,6 @@ func main() {
 		Workers:        *workers,
 		MaxInflight:    *maxInflight,
 		CacheSize:      *cacheSize,
-		ArtifactDir:    *artifacts,
 		EnablePprof:    *enablePprof,
 		TraceSlow:      *traceSlow,
 		AccessLog:      *accessLog,

@@ -10,13 +10,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/artstore"
 	"repro/internal/dtnsim"
 	"repro/internal/forward"
 	"repro/internal/pathenum"
@@ -49,7 +46,6 @@ func Specs() []Spec {
 		{"MEEDDistances", MEEDDistances},
 		{"MEEDDistancesCity", MEEDDistancesCity},
 		{"ServeEnumerateWarm", ServeEnumerateWarm},
-		{"WarmStartLoad", WarmStartLoad},
 	}
 }
 
@@ -275,50 +271,6 @@ func ServeEnumerateWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// warmCityArtifacts saves the city-scale space-time graph into a
-// throwaway artifact store once; WarmStartLoad then measures pure
-// load cost against it. The directory lives under the OS temp dir for
-// the process lifetime (benchmarks have no per-test cleanup hook).
-var warmCityArtifacts = sync.OnceValue(func() *artstore.Store {
-	dir, err := os.MkdirTemp("", "psn-warmbench-")
-	if err != nil {
-		panic(err)
-	}
-	store := &artstore.Store{Dir: dir}
-	g, err := stgraph.New(cityTrace(), stgraph.DefaultDelta)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := store.SaveGraph("city-2k", artstore.TraceDigest(cityTrace()), g); err != nil {
-		panic(err)
-	}
-	return store
-})
-
-// WarmStartLoad deserializes the city-scale space-time graph from the
-// on-disk artifact store — the warm-start path psn-serve takes with
-// -artifacts instead of paying SpaceTimeGraphBuildLarge. The ratio of
-// those two benchmarks is the warm-start speedup.
-func WarmStartLoad(b *testing.B) {
-	store := warmCityArtifacts()
-	digest := artstore.TraceDigest(cityTrace())
-	// A server retains what it loads (the artifact cache holds the
-	// graph), so keep every iteration's graph live: letting them die
-	// would make later iterations pay allocator span-recycling memclr
-	// that a one-shot warm start never sees.
-	loaded := make([]*stgraph.Graph, 0, b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := store.LoadGraph("city-2k", stgraph.DefaultDelta, digest)
-		if err != nil {
-			b.Fatal(err)
-		}
-		loaded = append(loaded, g)
-	}
-	runtime.KeepAlive(loaded)
 }
 
 // SimulateEpidemic runs the paper's Poisson workload under epidemic

@@ -201,8 +201,8 @@ func NewSweep(tr *trace.Trace) (*Sweep, error) {
 // Trace returns the sweep's trace.
 func (sw *Sweep) Trace() *trace.Trace { return sw.tr }
 
-// Oracle returns the sweep's precomputed tables, for persisting them
-// or for sharing them with another sweep through NewSweepFromOracle.
+// Oracle returns the sweep's precomputed tables, for sharing them with
+// another sweep through NewSweepFromOracle.
 func (sw *Sweep) Oracle() *Oracle { return sw.oracle }
 
 // Run simulates one configuration of the sweep's trace. cfg.Trace may

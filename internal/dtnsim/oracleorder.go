@@ -11,9 +11,8 @@ import (
 // permutation over event codes: code 2i is contact i's start, code
 // 2i+1 its end (i indexing the trace's sorted contact slice). Together
 // with the trace it fully determines the oracle — times, endpoints and
-// kinds are all recoverable from the contact records — so this is the
-// oracle's serialization form: a persisted artifact stores only the
-// permutation and NewOracleFromOrder rebuilds identical tables without
+// kinds are all recoverable from the contact records — so
+// NewOracleFromOrder rebuilds identical tables from it without
 // re-running the event sort.
 func (o *Oracle) EventOrder() []int32 {
 	out := make([]int32, len(o.events))
@@ -29,7 +28,7 @@ func (o *Oracle) EventOrder() []int32 {
 // strictly increasing under the package's (time, kind, seq) total
 // order. Since that order has exactly one sorted arrangement, a
 // validated order proves the rebuilt event stream is byte-identical to
-// what NewOracle computes — a corrupted or mismatched artifact cannot
+// what NewOracle computes — a corrupted or mismatched order cannot
 // produce a subtly different replay, only an error here.
 func NewOracleFromOrder(tr *trace.Trace, order []int32) (*Oracle, error) {
 	if tr == nil {

@@ -1,15 +1,14 @@
 // Package faultinject is the fault-injection layer behind the serving
 // stack's chaos tests and the psn-serve -inject flag: named injection
-// points scattered through the request path (artifact loads and
-// builds, compute stages, handlers) consult an Injector that is nil in
+// points scattered through the request path (graph and oracle builds,
+// compute stages, handlers) consult an Injector that is nil in
 // production, so every point costs one pointer check unless faults are
 // explicitly armed — the same nil-inert discipline as obs.Trace.
 //
 // A point fires at most its configured count of times (unlimited by
 // default), and each firing can return an error, panic, sleep, or any
-// combination — enough to simulate corrupt artifacts, failing builds,
-// slow stages and crashing handlers without touching the code under
-// test.
+// combination — enough to simulate failing builds, slow stages and
+// crashing handlers without touching the code under test.
 package faultinject
 
 import (
@@ -23,13 +22,11 @@ import (
 	"repro/internal/engine"
 )
 
-// The injection points the serving layer fires: artifact loads and
+// The injection points the serving layer fires: the graph and oracle
 // builds, the compute stages, and the handler envelope. Parse accepts
 // only these names.
 const (
-	PointGraphLoad   = "graph-load"
 	PointGraphBuild  = "graph-build"
-	PointOracleLoad  = "oracle-load"
 	PointOracleBuild = "oracle-build"
 	PointEnumerate   = "enumerate"
 	PointSimulate    = "simulate"
@@ -37,20 +34,13 @@ const (
 )
 
 var points = []string{
-	PointGraphLoad, PointGraphBuild, PointOracleLoad, PointOracleBuild,
-	PointEnumerate, PointSimulate, PointHandler,
+	PointGraphBuild, PointOracleBuild, PointEnumerate, PointSimulate, PointHandler,
 }
 
 // ErrInjected is the error an `err` fault returns from FireCancel.
 // Callers under test treat it like any other failure of the faulted
 // operation.
 var ErrInjected = errors.New("faultinject: injected error")
-
-// ErrCorrupt is the error a `corrupt` fault returns: injection points
-// guarding artifact reads use it to simulate a damaged file, and the
-// serving layer routes it through the same quarantine/degraded paths a
-// real artstore.ErrCorrupt would take.
-var ErrCorrupt = errors.New("faultinject: injected corruption")
 
 // Fault describes what happens when an armed point fires. Zero fields
 // are inert; non-zero ones all apply, in order: Delay first, then
@@ -166,13 +156,12 @@ func sleep(d time.Duration, cc *engine.Cancel) error {
 // constants and action is one of
 //
 //	err          return ErrInjected
-//	corrupt      return ErrCorrupt
 //	panic        panic
 //	delay=DUR    sleep DUR (Go duration syntax, e.g. 50ms)
 //
 // optionally suffixed *N to disarm after N firings, e.g.
 //
-//	graph-load:corrupt*1,enumerate:delay=200ms,handler:panic
+//	graph-build:err*1,enumerate:delay=200ms,handler:panic
 //
 // An empty spec returns a nil (inert) Injector. An unknown point name
 // is an error: arming a point nothing fires would inject nothing.
@@ -203,8 +192,6 @@ func Parse(spec string) (*Injector, error) {
 		switch {
 		case action == "err":
 			f.Err = ErrInjected
-		case action == "corrupt":
-			f.Err = ErrCorrupt
 		case action == "panic":
 			f.Panic = "injected panic"
 		case strings.HasPrefix(action, "delay="):

@@ -99,7 +99,7 @@ func TestDelayFaultCancellable(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	in, err := Parse("enumerate:err*1, graph-load:corrupt, handler:delay=5ms")
+	in, err := Parse("enumerate:err*1, graph-build:err, handler:delay=5ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,8 @@ func TestParse(t *testing.T) {
 	if err := in.FireCancel(PointEnumerate, nil); err != nil {
 		t.Errorf("enumerate past *1 count: %v", err)
 	}
-	if err := in.FireCancel(PointGraphLoad, nil); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("graph-load: %v, want ErrCorrupt", err)
+	if err := in.FireCancel(PointGraphBuild, nil); !errors.Is(err, ErrInjected) {
+		t.Errorf("graph-build: %v, want ErrInjected", err)
 	}
 	if err := in.FireCancel(PointHandler, nil); err != nil {
 		t.Errorf("handler (delay only): %v", err)
@@ -129,12 +129,15 @@ func TestParse(t *testing.T) {
 		"simulate:",
 		":err",
 		"simulate:frobnicate",
+		"simulate:corrupt",
 		"simulate:delay=xyz",
 		"simulate:err*0",
 		"simulate:err*x",
 		"simulate:err*",
 		"accept:err",
 		"grpah-load:err",
+		"graph-load:err",
+		"oracle-load:err",
 		"simulate:err,p:err",
 	} {
 		if _, err := Parse(bad); err == nil {

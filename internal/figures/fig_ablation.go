@@ -13,7 +13,9 @@ import (
 	"repro/internal/tracegen"
 )
 
-// Ablations for the design choices called out in DESIGN.md.
+// Ablations of the method's choices: the step Δ (AB1), the arrival
+// budget k (AB2), replicate vs relay copies (AB3), and a homogeneous
+// trace against the heterogeneous one (AB4).
 
 // ablationMessages samples messages (identically across ablation arms)
 // from the first dataset.

@@ -2,8 +2,9 @@
 // as printed tables and series: Fig 1 (contact time series), Figs 4-6
 // and 8 (path explosion), Fig 7 (contact-count CDFs), Figs 9-13
 // (forwarding-algorithm performance), Figs 14-15 (hop-rate structure),
-// plus the analytic-model validation experiments (A1, A2) and the
-// ablations called out in DESIGN.md (AB1-AB4).
+// plus the analytic-model validation experiments (A1, A2) and four
+// ablations of the method's choices: the step Δ, the arrival budget k,
+// replicate vs relay copies, and a homogeneous trace (AB1-AB4).
 //
 // A Harness caches the generated datasets, the per-message enumeration
 // results, and the simulation results, so regenerating all figures
@@ -30,8 +31,7 @@ import (
 type Params struct {
 	// Messages is the number of random messages enumerated per dataset
 	// for the path-explosion figures (the paper does not state its
-	// sample size). Default 40, which keeps a full harness run under
-	// half an hour on one core.
+	// sample size). Default 40.
 	Messages int
 	// K is the explosion threshold (paper: 2000 paths).
 	K int

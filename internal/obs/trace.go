@@ -6,20 +6,16 @@ import (
 )
 
 // Stage labels one instrumented phase of request processing. The set
-// covers the expensive internals: on-disk artifact loading vs the live
-// build it replaces (the space-time graph build split into its event
-// sweep and frame-fill halves), the enumeration dynamic program's
-// shared prefix vs per-destination forked continuations, and the
-// simulator's oracle derivation vs the warm replay.
+// covers the expensive internals: the space-time graph build split
+// into its event sweep and frame-fill halves, the enumeration dynamic
+// program's shared prefix vs per-destination forked continuations, and
+// the simulator's oracle derivation vs the warm replay.
 type Stage uint8
 
 const (
-	// StageArtifactLoad is time spent loading a graph or oracle from
-	// the on-disk artifact store (successful or not).
-	StageArtifactLoad Stage = iota
 	// StageGraphSweep is the space-time graph builder's event sweep:
 	// contact boundary bucketing and active-pair frame-spec emission.
-	StageGraphSweep
+	StageGraphSweep Stage = iota
 	// StageGraphFrames is the graph builder's frame construction: CSR
 	// rows, components, member lists and distance tables, plus the
 	// stable-component marking pass.
@@ -45,7 +41,6 @@ const (
 // stageNames holds the snake_case metric/label names, index-aligned
 // with the Stage constants.
 var stageNames = [NumStages]string{
-	"artifact_load",
 	"graph_sweep",
 	"graph_frames",
 	"enum_prefix",

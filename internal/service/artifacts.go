@@ -1,17 +1,13 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	mathrand "math/rand/v2"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/artstore"
 	"repro/internal/dtnsim"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
@@ -39,32 +35,9 @@ import (
 type artifacts struct {
 	reg *Registry
 
-	// store, when non-nil, is checked before building a graph or oracle:
-	// a warmed artifact loads in milliseconds where the build takes
-	// seconds. A benign load failure — absence, version skew, digest
-	// mismatch — falls back to the live build; a *corrupt* artifact
-	// (damaged bytes, failed section CRC) additionally gets renamed
-	// aside (see quarantine) so no later boot retries the broken file.
-	// Either way a stale or damaged store can cost time but never
-	// correctness. The counters below record which path each artifact
-	// took (exposed on /metrics).
-	store        *artstore.Store
-	graphLoads   atomic.Int64
-	graphBuilds  atomic.Int64
-	oracleLoads  atomic.Int64
-	oracleBuilds atomic.Int64
-
 	// faults arms the request path's injection points (nil in
 	// production — every Fire is one pointer check).
 	faults *faultinject.Injector
-	logger *slog.Logger
-
-	// Quarantine bookkeeping: total renames (metrics), the renamed
-	// paths (healthz), and a seen set keying the log-once discipline.
-	quarantines atomic.Int64
-	qmu         sync.Mutex
-	qseen       map[string]bool
-	quarantined []string
 
 	// deg tracks per-dataset consecutive build failures and the backoff
 	// windows they open (see degrader).
@@ -114,72 +87,15 @@ const (
 	maxCachedHarnesses = 8
 )
 
-func newArtifacts(reg *Registry, store *artstore.Store, faults *faultinject.Injector, logger *slog.Logger) *artifacts {
+func newArtifacts(reg *Registry, faults *faultinject.Injector) *artifacts {
 	return &artifacts{
 		reg:       reg,
-		store:     store,
 		faults:    faults,
-		logger:    logger,
 		graphs:    newMemoMap[graphKey, *stgraph.Graph](maxCachedGraphs),
 		enums:     newMemoMap[enumKey, *pathenum.Enumerator](maxCachedEnums),
 		sweeps:    newMemoMap[string, *dtnsim.Sweep](maxCachedSweeps),
 		harnesses: newMemoMap[harnessKey, *figures.Harness](maxCachedHarnesses),
 	}
-}
-
-// quarantine moves a corrupt on-disk artifact aside (renamed with a
-// .quarantined suffix) so it is never retried, records it for /healthz
-// and /metrics, and logs once per path. Only errors carrying a real
-// file — *artstore.CorruptError with a Path — quarantine anything;
-// injected corruption (faultinject.ErrCorrupt) has no file behind it.
-// Concurrent loads of the same damaged file race benignly: the seen
-// set admits one goroutine per path.
-func (a *artifacts) quarantine(dataset string, err error) {
-	var ce *artstore.CorruptError
-	if !errors.As(err, &ce) || ce.Path == "" {
-		return
-	}
-	a.qmu.Lock()
-	if a.qseen == nil {
-		a.qseen = make(map[string]bool)
-	}
-	if a.qseen[ce.Path] {
-		a.qmu.Unlock()
-		return
-	}
-	a.qseen[ce.Path] = true
-	a.qmu.Unlock()
-
-	qpath, qerr := a.store.Quarantine(ce.Path)
-	if qerr != nil {
-		a.logger.LogAttrs(context.Background(), slog.LevelError, "corrupt artifact, quarantine failed",
-			slog.String("dataset", dataset),
-			slog.String("path", ce.Path),
-			slog.Any("corruption", ce.Err),
-			slog.Any("error", qerr),
-		)
-		return
-	}
-	a.quarantines.Add(1)
-	a.qmu.Lock()
-	a.quarantined = append(a.quarantined, qpath)
-	a.qmu.Unlock()
-	a.logger.LogAttrs(context.Background(), slog.LevelWarn, "corrupt artifact quarantined",
-		slog.String("dataset", dataset),
-		slog.String("path", ce.Path),
-		slog.String("quarantined", qpath),
-		slog.Any("corruption", ce.Err),
-	)
-}
-
-// quarantinedPaths returns the artifact paths renamed aside so far
-// (for /healthz), sorted.
-func (a *artifacts) quarantinedPaths() []string {
-	a.qmu.Lock()
-	defer a.qmu.Unlock()
-	out := append([]string(nil), a.quarantined...)
-	sort.Strings(out)
-	return out
 }
 
 // noteBuild feeds the degrader with a build outcome. Canceled builds
@@ -201,7 +117,7 @@ func (a *artifacts) noteBuild(dataset string, err error) {
 
 // graph returns the indexed space-time graph of a dataset at step
 // delta, building it once. Stage spans land on ot — only for the
-// request that actually triggers the singleflight load or build; later
+// request that actually triggers the singleflight build; later
 // requests get the cached graph and record nothing, which is the
 // truthful attribution. The leader threads its cc into the build, so a
 // canceled leader abandons the build for everyone — the errored slot
@@ -225,33 +141,10 @@ func (a *artifacts) buildGraph(dataset string, delta float64, ot *obs.Trace, cc 
 	if err != nil {
 		return nil, err
 	}
-	if a.store != nil {
-		sp := ot.Start(obs.StageArtifactLoad)
-		g, err := a.loadGraph(dataset, delta, tr, cc)
-		sp.End()
-		if err == nil {
-			a.graphLoads.Add(1)
-			return g, nil
-		}
-		if engine.IsCanceled(err) {
-			return nil, err
-		}
-		if errors.Is(err, artstore.ErrCorrupt) {
-			a.quarantine(dataset, err)
-		}
-	}
-	a.graphBuilds.Add(1)
 	if err := a.faults.FireCancel(faultinject.PointGraphBuild, cc); err != nil {
 		return nil, err
 	}
 	return stgraph.NewWorkersCancel(tr, delta, 0, ot, cc)
-}
-
-func (a *artifacts) loadGraph(dataset string, delta float64, tr *trace.Trace, cc *engine.Cancel) (*stgraph.Graph, error) {
-	if err := a.faults.FireCancel(faultinject.PointGraphLoad, cc); err != nil {
-		return nil, err
-	}
-	return a.store.LoadGraph(dataset, delta, artstore.TraceDigest(tr))
 }
 
 // enumerator returns an enumerator for the dataset under the given
@@ -285,30 +178,14 @@ func (a *artifacts) sweep(dataset string, ot *obs.Trace, cc *engine.Cancel) (*dt
 		if err := a.deg.check(dataset); err != nil {
 			return nil, err
 		}
-		sw, err := a.buildSweep(dataset, tr, ot, cc)
+		sw, err := a.buildSweep(tr, ot, cc)
 		a.noteBuild(dataset, err)
 		return sw, err
 	})
 	return sw, tr, err
 }
 
-func (a *artifacts) buildSweep(dataset string, tr *trace.Trace, ot *obs.Trace, cc *engine.Cancel) (*dtnsim.Sweep, error) {
-	if a.store != nil {
-		sp := ot.Start(obs.StageArtifactLoad)
-		o, err := a.loadOracle(dataset, tr, cc)
-		sp.End()
-		if err == nil {
-			a.oracleLoads.Add(1)
-			return dtnsim.NewSweepFromOracle(o)
-		}
-		if engine.IsCanceled(err) {
-			return nil, err
-		}
-		if errors.Is(err, artstore.ErrCorrupt) {
-			a.quarantine(dataset, err)
-		}
-	}
-	a.oracleBuilds.Add(1)
+func (a *artifacts) buildSweep(tr *trace.Trace, ot *obs.Trace, cc *engine.Cancel) (*dtnsim.Sweep, error) {
 	if err := a.faults.FireCancel(faultinject.PointOracleBuild, cc); err != nil {
 		return nil, err
 	}
@@ -316,13 +193,6 @@ func (a *artifacts) buildSweep(dataset string, tr *trace.Trace, ot *obs.Trace, c
 	sw, err := dtnsim.NewSweep(tr)
 	sp.End()
 	return sw, err
-}
-
-func (a *artifacts) loadOracle(dataset string, tr *trace.Trace, cc *engine.Cancel) (*dtnsim.Oracle, error) {
-	if err := a.faults.FireCancel(faultinject.PointOracleLoad, cc); err != nil {
-		return nil, err
-	}
-	return a.store.LoadOracle(dataset, artstore.TraceDigest(tr), tr)
 }
 
 // harness returns the figure harness for a parameter set. The harness

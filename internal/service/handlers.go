@@ -14,47 +14,20 @@ import (
 	"repro/internal/forward"
 	"repro/internal/obs"
 	"repro/internal/pathenum"
-	"repro/internal/stgraph"
 	"repro/internal/trace"
 )
 
 // --- GET /healthz ---
 
-// ArtifactsStatus reports the on-disk artifact store's state inside
-// /healthz, so a load generator or orchestrator can tell a warm replica
-// (artifacts on disk, sub-second first request) from a cold one (first
-// request pays seconds of live builds) before sending traffic.
-type ArtifactsStatus struct {
-	Dir string `json:"dir"`
-
-	// Warm lists the registered datasets with both a space-time graph
-	// (at the default delta) and an oracle table present on disk.
-	Warm []string `json:"warm"`
-
-	// Load/build counters since process start, mirroring /metrics:
-	// loads are store hits, builds are live fallbacks.
-	GraphLoads   int64 `json:"graphLoads"`
-	GraphBuilds  int64 `json:"graphBuilds"`
-	OracleLoads  int64 `json:"oracleLoads"`
-	OracleBuilds int64 `json:"oracleBuilds"`
-
-	// Quarantined lists artifact files found corrupt and renamed aside
-	// (now carrying a .quarantined suffix); each cost one live rebuild
-	// and deserves operator attention, but never wrong answers.
-	Quarantined []string `json:"quarantined,omitempty"`
-}
-
-// HealthResponse is the /healthz body. Artifacts is present only when
-// the server was configured with an artifact store. Status is "ok"
-// normally, "degraded" while any dataset is in a build-failure backoff
-// window (still HTTP 200 — cached artifacts keep serving), and
-// "draining" during shutdown (HTTP 503, so load balancers stop
-// routing here while in-flight requests finish).
+// HealthResponse is the /healthz body. Status is "ok" normally,
+// "degraded" while any dataset is in a build-failure backoff window
+// (still HTTP 200 — cached artifacts keep serving), and "draining"
+// during shutdown (HTTP 503, so load balancers stop routing here while
+// in-flight requests finish).
 type HealthResponse struct {
-	Status    string           `json:"status"`
-	Datasets  int              `json:"datasets"`
-	Degraded  []string         `json:"degraded,omitempty"`
-	Artifacts *ArtifactsStatus `json:"artifacts,omitempty"`
+	Status   string   `json:"status"`
+	Datasets int      `json:"datasets"`
+	Degraded []string `json:"degraded,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
@@ -62,23 +35,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, ri *reqIn
 	if deg := s.art.deg.degraded(); len(deg) > 0 {
 		resp.Status = "degraded"
 		resp.Degraded = deg
-	}
-	if s.art.store != nil {
-		as := &ArtifactsStatus{
-			Dir:          s.art.store.Dir,
-			Warm:         []string{},
-			GraphLoads:   s.art.graphLoads.Load(),
-			GraphBuilds:  s.art.graphBuilds.Load(),
-			OracleLoads:  s.art.oracleLoads.Load(),
-			OracleBuilds: s.art.oracleBuilds.Load(),
-			Quarantined:  s.art.quarantinedPaths(),
-		}
-		for _, name := range s.cfg.Registry.Names() {
-			if s.art.store.HasGraph(name, stgraph.DefaultDelta) && s.art.store.HasOracle(name) {
-				as.Warm = append(as.Warm, name)
-			}
-		}
-		resp.Artifacts = as
 	}
 	if s.draining.Load() {
 		resp.Status = "draining"
@@ -215,6 +171,13 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request, ri *req
 // the engine pool indefinitely (larger studies split into batches).
 const maxBatchMessages = 4096
 
+// maxGraphSteps caps the space-time graph one /enumerate request may
+// build: the dataset horizon over delta. The build allocates per step,
+// so without it a tiny client-chosen delta could exhaust memory in a
+// single request. It sits far above any graph the paper or the city
+// datasets need (city-4k at Δ 5 s has 8,640 steps).
+const maxGraphSteps = 1 << 20
+
 // enumerateMessages resolves the single/batch request forms.
 func enumerateMessages(req EnumerateRequest) ([]pathenum.Message, error) {
 	single := req.Src != nil || req.Dst != nil || req.Start != nil
@@ -272,6 +235,17 @@ func (s *Server) enumerate(dataset string, msgs []pathenum.Message, opt pathenum
 	opt, err := opt.Normalized()
 	if err != nil {
 		return nil, &badRequestError{err: err}
+	}
+	tr, err := s.art.reg.traceCancel(dataset, cc)
+	if err != nil {
+		return nil, err
+	}
+	// Refused before the graph build, so a bad delta never counts as a
+	// build failure toward the dataset's degraded mode. Negated so that
+	// a step count that overflowed to +Inf is refused too.
+	if steps := tr.Horizon / opt.Delta; !(steps <= maxGraphSteps) {
+		return nil, badRequest("delta %g over the %g s horizon is %.3g steps, over the %d-step limit",
+			opt.Delta, tr.Horizon, steps, maxGraphSteps)
 	}
 	enum, err := s.art.enumerator(dataset, opt, ot, cc)
 	if err != nil {

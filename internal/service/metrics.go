@@ -13,8 +13,8 @@ import (
 
 // metrics holds the server's operational state exposed in Prometheus
 // text format on /metrics: monotonic counters (requests, status codes,
-// shed, cache, artifacts), an in-flight gauge, per-endpoint request
-// latency histograms, per-stage span histograms, and runtime gauges.
+// shed, cache), an in-flight gauge, per-endpoint request latency
+// histograms, per-stage span histograms, and runtime gauges.
 // Histograms are lock-free (see internal/obs); recording a request
 // costs a handful of atomic adds and no allocation.
 type metrics struct {
@@ -115,7 +115,7 @@ func (m *metrics) countStatus(code int) {
 }
 
 // write emits the Prometheus text exposition. cache supplies the
-// result-cache counters, art the artifact load/build counters.
+// result-cache counters, art the degraded-dataset gauge.
 func (m *metrics) write(w io.Writer, cache *lruCache, art *artifacts) {
 	fmt.Fprintf(w, "# HELP psn_requests_total Requests received, by endpoint.\n")
 	fmt.Fprintf(w, "# TYPE psn_requests_total counter\n")
@@ -172,20 +172,6 @@ func (m *metrics) write(w io.Writer, cache *lruCache, art *artifacts) {
 	fmt.Fprintf(w, "# HELP psn_result_cache_entries Result-cache resident entries.\n")
 	fmt.Fprintf(w, "# TYPE psn_result_cache_entries gauge\n")
 	fmt.Fprintf(w, "psn_result_cache_entries %d\n", entries)
-
-	fmt.Fprintf(w, "# HELP psn_artifact_loads_total Artifacts loaded from the on-disk store, by kind.\n")
-	fmt.Fprintf(w, "# TYPE psn_artifact_loads_total counter\n")
-	fmt.Fprintf(w, "psn_artifact_loads_total{kind=\"graph\"} %d\n", art.graphLoads.Load())
-	fmt.Fprintf(w, "psn_artifact_loads_total{kind=\"oracle\"} %d\n", art.oracleLoads.Load())
-
-	fmt.Fprintf(w, "# HELP psn_artifact_builds_total Artifacts built live (store miss or no store), by kind.\n")
-	fmt.Fprintf(w, "# TYPE psn_artifact_builds_total counter\n")
-	fmt.Fprintf(w, "psn_artifact_builds_total{kind=\"graph\"} %d\n", art.graphBuilds.Load())
-	fmt.Fprintf(w, "psn_artifact_builds_total{kind=\"oracle\"} %d\n", art.oracleBuilds.Load())
-
-	fmt.Fprintf(w, "# HELP psn_artifact_quarantines_total Corrupt on-disk artifacts renamed aside.\n")
-	fmt.Fprintf(w, "# TYPE psn_artifact_quarantines_total counter\n")
-	fmt.Fprintf(w, "psn_artifact_quarantines_total %d\n", art.quarantines.Load())
 
 	fmt.Fprintf(w, "# HELP psn_degraded_datasets Datasets currently in a build-failure backoff window.\n")
 	fmt.Fprintf(w, "# TYPE psn_degraded_datasets gauge\n")

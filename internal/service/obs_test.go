@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math"
@@ -13,10 +12,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/artstore"
-	"repro/internal/dtnsim"
-	"repro/internal/stgraph"
 )
 
 // do runs one request through the server and returns the recorder.
@@ -321,73 +316,6 @@ func TestRequestIDHeader(t *testing.T) {
 		if id := mint(inbound); id == inbound {
 			t.Errorf("server echoed inbound request ID %q instead of minting one", inbound)
 		}
-	}
-}
-
-// TestHealthzArtifacts checks the store-aware health body: without a
-// store the artifacts key is absent (byte-compatible with the old
-// shape); with a warmed store the dataset shows up in warm.
-func TestHealthzArtifacts(t *testing.T) {
-	s := New(Config{})
-	w := do(t, s, "GET", "/healthz", "")
-	if strings.Contains(w.Body.String(), "artifacts") {
-		t.Fatalf("no-store /healthz mentions artifacts: %s", w.Body.String())
-	}
-
-	dir := t.TempDir()
-	store := &artstore.Store{Dir: dir}
-	tr, err := NewRegistry().Trace("dev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := stgraph.New(tr, stgraph.DefaultDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := artstore.TraceDigest(tr)
-	if _, err := store.SaveGraph("dev", digest, g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.SaveOracle("dev", digest, dtnsim.NewOracle(tr)); err != nil {
-		t.Fatal(err)
-	}
-
-	s = New(Config{ArtifactDir: dir})
-	w = do(t, s, "GET", "/healthz", "")
-	var health HealthResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &health); err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-	if health.Artifacts == nil {
-		t.Fatal("healthz with store: artifacts absent")
-	}
-	if health.Artifacts.Dir != dir {
-		t.Errorf("artifacts dir %q, want %q", health.Artifacts.Dir, dir)
-	}
-	warm := strings.Join(health.Artifacts.Warm, ",")
-	if !strings.Contains(warm, "dev") {
-		t.Errorf("warm datasets %q do not include dev", warm)
-	}
-	for _, name := range health.Artifacts.Warm {
-		if name == "dev" {
-			continue
-		}
-		if store.HasGraph(name, stgraph.DefaultDelta) && store.HasOracle(name) {
-			continue
-		}
-		t.Errorf("dataset %q reported warm without artifacts on disk", name)
-	}
-
-	// After serving an enumerate, the load counter moves (graph loaded
-	// from the store, not rebuilt).
-	enumerateOnce(t, s)
-	w = do(t, s, "GET", "/healthz", "")
-	if err := json.Unmarshal(w.Body.Bytes(), &health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Artifacts.GraphLoads != 1 || health.Artifacts.GraphBuilds != 0 {
-		t.Errorf("after warm enumerate: graphLoads %d graphBuilds %d, want 1/0",
-			health.Artifacts.GraphLoads, health.Artifacts.GraphBuilds)
 	}
 }
 

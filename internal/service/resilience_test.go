@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -17,10 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/artstore"
-	"repro/internal/dtnsim"
 	"repro/internal/faultinject"
-	"repro/internal/stgraph"
 )
 
 const enumBody = `{"dataset":"dev","src":0,"dst":17,"start":0,"k":50}`
@@ -148,8 +144,8 @@ func readJSON(resp *http.Response, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// discardLogger silences the chaos suite's expected panic/quarantine
-// log spam without losing real test failures.
+// discardLogger silences the chaos suite's expected panic log spam
+// without losing real test failures.
 func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
@@ -209,103 +205,31 @@ func TestDegradedMode(t *testing.T) {
 	}
 }
 
-// resilienceStore builds a valid artifact store for the dev dataset (graph +
-// oracle) and returns its directory and file paths.
-func resilienceStore(t *testing.T) (dir, graphPath, oraclePath string) {
-	t.Helper()
-	reg := NewRegistry()
-	tr, err := reg.Trace("dev")
-	if err != nil {
-		t.Fatal(err)
+// TestEnumerateRefusesHugeGraph: a delta whose graph would exceed
+// maxGraphSteps is refused 400 before any build, so it neither panics
+// nor allocates per step, and degradeThreshold such requests leave the
+// dataset healthy: a refusal is not a build failure.
+func TestEnumerateRefusesHugeGraph(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	deltas := []string{"1e-300", "0.001", "1e-300"}
+	if len(deltas) < degradeThreshold {
+		t.Fatalf("%d refused requests cannot reach the degrade threshold %d", len(deltas), degradeThreshold)
 	}
-	g, err := stgraph.New(tr, stgraph.DefaultDelta)
-	if err != nil {
-		t.Fatal(err)
+	for _, delta := range deltas {
+		body := `{"dataset":"dev","src":0,"dst":17,"start":0,"k":50,"delta":` + delta + `}`
+		code, out := post(t, ts.URL+"/enumerate", body)
+		if code != http.StatusBadRequest || !strings.Contains(string(out), "step limit") {
+			t.Fatalf("delta %s: status %d (%s), want 400 naming the step limit", delta, code, out)
+		}
 	}
-	st := &artstore.Store{Dir: t.TempDir()}
-	digest := artstore.TraceDigest(tr)
-	graphPath, err = st.SaveGraph("dev", digest, g)
-	if err != nil {
-		t.Fatal(err)
+	if got := metricValue(t, ts, "psn_panics_total"); got != 0 {
+		t.Errorf("psn_panics_total = %d, want 0", got)
 	}
-	oraclePath, err = st.SaveOracle("dev", digest, dtnsim.NewOracle(tr))
-	if err != nil {
-		t.Fatal(err)
+	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK || !strings.Contains(string(body), `"status":"ok"`) {
+		t.Errorf("/healthz after refused deltas: status %d body %s, want ok", code, body)
 	}
-	return st.Dir, graphPath, oraclePath
-}
-
-func corruptFile(t *testing.T, path string) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-5] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuarantineAndFallback: a corrupt on-disk artifact is renamed
-// aside, the request is served from a live build with a byte-identical
-// response, /healthz and /metrics report the quarantine, and a second
-// boot over the same directory misses cleanly without re-quarantining.
-func TestQuarantineAndFallback(t *testing.T) {
-	dir, graphPath, _ := resilienceStore(t)
-	corruptFile(t, graphPath)
-
-	// Reference answer from a storeless server.
-	_, plain := newTestServer(t, Config{})
-	_, want := post(t, plain.URL+"/enumerate", enumBody)
-
-	_, ts := newTestServer(t, Config{ArtifactDir: dir})
-	code, got := post(t, ts.URL+"/enumerate", enumBody)
-	if code != http.StatusOK {
-		t.Fatalf("enumerate over corrupt store: status %d (%s), want 200 via live build", code, got)
-	}
-	if string(got) != string(want) {
-		t.Error("fallback response differs from the storeless answer")
-	}
-	if _, err := os.Stat(graphPath); !os.IsNotExist(err) {
-		t.Errorf("corrupt artifact still at %s (stat err %v), want renamed aside", graphPath, err)
-	}
-	if _, err := os.Stat(graphPath + ".quarantined"); err != nil {
-		t.Errorf("quarantined file missing: %v", err)
-	}
-	if got := metricValue(t, ts, "psn_artifact_quarantines_total"); got != 1 {
-		t.Errorf("psn_artifact_quarantines_total = %d, want 1", got)
-	}
-	if _, body := get(t, ts.URL+"/healthz"); !strings.Contains(string(body), ".quarantined") {
-		t.Errorf("/healthz does not list the quarantined file: %s", body)
-	}
-
-	// Second boot: the bad file is out of the load path, so the server
-	// just misses and builds — no repeated quarantine, nothing to log.
-	_, ts2 := newTestServer(t, Config{ArtifactDir: dir})
-	if code, _ := post(t, ts2.URL+"/enumerate", enumBody); code != http.StatusOK {
-		t.Fatalf("second boot enumerate: status %d, want 200", code)
-	}
-	if got := metricValue(t, ts2, "psn_artifact_quarantines_total"); got != 0 {
-		t.Errorf("second boot psn_artifact_quarantines_total = %d, want 0", got)
-	}
-}
-
-// TestOracleQuarantine covers the oracle artifact through /simulate.
-func TestOracleQuarantine(t *testing.T) {
-	dir, _, oraclePath := resilienceStore(t)
-	corruptFile(t, oraclePath)
-
-	_, ts := newTestServer(t, Config{ArtifactDir: dir})
-	body := `{"dataset":"dev","algorithm":"epidemic","runs":1}`
-	if code, out := post(t, ts.URL+"/simulate", body); code != http.StatusOK {
-		t.Fatalf("simulate over corrupt oracle: status %d (%s), want 200", code, out)
-	}
-	if _, err := os.Stat(oraclePath + ".quarantined"); err != nil {
-		t.Errorf("quarantined oracle missing: %v", err)
-	}
-	if got := metricValue(t, ts, "psn_artifact_quarantines_total"); got != 1 {
-		t.Errorf("psn_artifact_quarantines_total = %d, want 1", got)
+	if code, body := post(t, ts.URL+"/enumerate", enumBody); code != http.StatusOK {
+		t.Errorf("valid request after refused deltas: status %d (%s), want 200", code, body)
 	}
 }
 
@@ -394,7 +318,6 @@ func TestChaosSuite(t *testing.T) {
 	faults.Set(faultinject.PointEnumerate, faultinject.Fault{Err: faultinject.ErrInjected, Count: 5})
 	faults.Set(faultinject.PointSimulate, faultinject.Fault{Delay: 20 * time.Millisecond, Count: 5})
 	faults.Set(faultinject.PointHandler, faultinject.Fault{Panic: "chaos", Count: 3})
-	faults.Set(faultinject.PointGraphLoad, faultinject.Fault{Err: faultinject.ErrCorrupt, Count: 2})
 	logger := discardLogger()
 	s, ts := newTestServer(t, Config{
 		RequestTimeout: 250 * time.Millisecond,

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/artstore"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -49,13 +48,6 @@ type Config struct {
 	// negative disables response caching.
 	CacheSize int
 
-	// ArtifactDir, when set, names an on-disk artifact store (see
-	// internal/artstore and cmd/psn-warm): per-dataset space-time graphs
-	// and oracle tables are loaded from it instead of built, with a live
-	// build as fallback on any miss or mismatch. Empty disables the
-	// store.
-	ArtifactDir string
-
 	// EnablePprof mounts net/http/pprof under GET /debug/pprof/. The
 	// profiling endpoints bypass the in-flight limit — like the other
 	// probe endpoints they must answer while the server is saturated,
@@ -77,7 +69,7 @@ type Config struct {
 	RequestTimeout time.Duration
 
 	// Faults, when non-nil, arms the fault-injection points along the
-	// request path — artifact loads and builds, the enumerate/simulate
+	// request path — graph and oracle builds, the enumerate/simulate
 	// compute stages, the handler envelope (see internal/faultinject
 	// and the psn-serve -inject flag). Nil, the production value, makes
 	// every injection point one pointer check.
@@ -156,13 +148,9 @@ type reqInfo struct {
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	var store *artstore.Store
-	if cfg.ArtifactDir != "" {
-		store = &artstore.Store{Dir: cfg.ArtifactDir}
-	}
 	s := &Server{
 		cfg:     cfg,
-		art:     newArtifacts(cfg.Registry, store, cfg.Faults, cfg.Logger),
+		art:     newArtifacts(cfg.Registry, cfg.Faults),
 		results: newLRUCache(cfg.CacheSize),
 		metrics: newMetrics(),
 		idTag:   mathrand.Uint64() << 32,

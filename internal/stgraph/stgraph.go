@@ -137,7 +137,14 @@ func NewWorkersCancel(tr *trace.Trace, delta float64, workers int, ot *obs.Trace
 	if delta <= 0 {
 		return nil, fmt.Errorf("stgraph: delta %g must be positive", delta)
 	}
-	steps := int(math.Ceil(tr.Horizon / delta))
+	// Steps index int32 tables (stepFrame, pnode.step), and the build
+	// allocates per step, so a tiny delta must fail here rather than
+	// overflow make or exhaust memory.
+	fsteps := math.Ceil(tr.Horizon / delta)
+	if math.IsNaN(fsteps) || fsteps > math.MaxInt32 {
+		return nil, fmt.Errorf("stgraph: delta %g gives %g steps over horizon %g, above the limit of %d", delta, fsteps, tr.Horizon, math.MaxInt32)
+	}
+	steps := int(fsteps)
 	if steps == 0 {
 		steps = 1
 	}
@@ -191,11 +198,6 @@ func markStableComponents(g *Graph, framePrev []int32) {
 		prev := &g.frames[pf]
 		for c := 0; c < nc; c++ {
 			members := f.members[f.compBounds[c]:f.compBounds[c+1]]
-			if len(members) == 0 {
-				// Built graphs never emit empty components; a restored
-				// hostile snapshot can (FromSnapshot reruns this pass).
-				continue
-			}
 			c2 := int(prev.compID[members[0]]) - 1
 			if c2 < 0 {
 				continue

@@ -1,11 +1,13 @@
 package stgraph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/trace"
+	"repro/internal/tracegen"
 )
 
 func mk(t *testing.T, numNodes int, horizon float64, cs []trace.Contact) *trace.Trace {
@@ -24,6 +26,14 @@ func TestNewRejectsBadDelta(t *testing.T) {
 	}
 	if _, err := New(tr, -5); err == nil {
 		t.Errorf("negative delta accepted")
+	}
+	// A delta whose step count overflows int32 (or is not a number)
+	// must fail before the build sizes its per-step tables.
+	dev := tracegen.Dev(1)
+	for _, delta := range []float64{1e-300, math.NaN()} {
+		if _, err := New(dev, delta); err == nil {
+			t.Errorf("delta %g over horizon %g accepted", delta, dev.Horizon)
+		}
 	}
 }
 

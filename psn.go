@@ -19,10 +19,6 @@
 //     exposes enumeration, simulation and figure data as JSON
 //     endpoints over cached per-dataset artifacts (NewRegistry,
 //     NewServer; see cmd/psn-serve);
-//   - the on-disk artifact store behind instant warm starts: versioned,
-//     checksummed serializations of built space-time graphs and oracle
-//     tables (ArtifactStore, TraceDigest; see cmd/psn-warm and
-//     psn-serve -artifacts);
 //   - allocation-free observability primitives: lock-free log-bucketed
 //     latency histograms and per-request stage-span traces, threaded
 //     through the serving layer onto /metrics (LatencyHistogram,
@@ -30,9 +26,8 @@
 //     section);
 //   - the resilience layer: cooperative request cancellation
 //     (deadlines and client disconnects abandon compute at amortized
-//     checkpoints — CanceledError, IsCanceled), panic isolation,
-//     quarantine of corrupt on-disk artifacts (ErrArtifactCorrupt)
-//     and per-dataset degraded mode after repeated build failures
+//     checkpoints — CanceledError, IsCanceled), panic isolation and
+//     per-dataset degraded mode after repeated build failures
 //     (DegradedError); see the README's Resilience section.
 //
 // # Concurrency and determinism
@@ -87,7 +82,6 @@ import (
 	"io"
 
 	"repro/internal/analytic"
-	"repro/internal/artstore"
 	"repro/internal/dtnsim"
 	"repro/internal/engine"
 	"repro/internal/figures"
@@ -267,16 +261,6 @@ const (
 // Simulate runs a forwarding algorithm over a trace.
 func Simulate(cfg SimConfig) (*SimResult, error) { return dtnsim.Run(cfg) }
 
-// SimOracle holds the precomputed read-only simulation tables of one
-// trace (contact totals, MEED distances, the sorted event stream).
-// Build it with NewSimOracle to persist it in the artifact store
-// (psn-warm); a SimSweep builds and shares its own across many runs of
-// the same trace.
-type SimOracle = dtnsim.Oracle
-
-// NewSimOracle precomputes the simulation tables for a trace.
-func NewSimOracle(t *Trace) *SimOracle { return dtnsim.NewOracle(t) }
-
 // SimSweep is the batched multi-run simulation engine: it builds the
 // oracle tables once per trace and pools the mutable per-worker
 // simulation state (contact views, holder and hop slabs, live-message
@@ -401,50 +385,6 @@ func IsCanceled(err error) bool { return engine.IsCanceled(err) }
 // artifacts keep serving throughout.
 type DegradedError = service.DegradedError
 
-// Artifact store (warm start).
-type (
-	// ArtifactStore is a versioned on-disk store of precomputed
-	// per-dataset artifacts — serialized space-time graphs and
-	// simulator oracle tables — keyed by format version, build
-	// parameters and a digest of the source trace. cmd/psn-warm fills
-	// one; a Server with ServeConfig.ArtifactDir (psn-serve -artifacts)
-	// loads from it instead of building, falling back to a live build
-	// on any miss or mismatch. The zero value of Dir is invalid; Mmap
-	// selects how artifact files are mapped (MmapAuto by default).
-	ArtifactStore = artstore.Store
-	// MmapPolicy selects how an ArtifactStore maps files into memory.
-	MmapPolicy = artstore.MmapPolicy
-)
-
-// Mmap policies for ArtifactStore.
-const (
-	MmapAuto   = artstore.MmapAuto
-	MmapNever  = artstore.MmapNever
-	MmapAlways = artstore.MmapAlways
-)
-
-// ErrArtifactMiss is wrapped by every ArtifactStore load failure — a
-// missing file, version skew, parameter or digest mismatch, or
-// corruption — so callers can treat "fall back to a live build" as one
-// errors.Is check.
-var ErrArtifactMiss = artstore.ErrMiss
-
-// ErrArtifactCorrupt is additionally matched by load failures caused
-// by damaged bytes (truncation, checksum mismatch, malformed
-// structure) rather than clean misses. A corrupt artifact still
-// matches ErrArtifactMiss — fallback logic keeps working — but the
-// serving layer also quarantines the file (renames it aside with a
-// ".quarantined" suffix) so later boots miss cleanly instead of
-// re-reading the same bad bytes. Parameter or digest skew is a clean
-// miss, never corruption.
-var ErrArtifactCorrupt = artstore.ErrCorrupt
-
-// TraceDigest fingerprints a trace's full contact content (FNV-1a 64).
-// Artifacts are saved and looked up under this digest, so a store
-// warmed from different trace data than the server resolves is a miss,
-// never a wrong answer.
-func TraceDigest(t *Trace) uint64 { return artstore.TraceDigest(t) }
-
 // Observability.
 type (
 	// LatencyHistogram is a lock-free log-bucketed latency histogram:
@@ -458,8 +398,8 @@ type (
 	// quantile extraction (p50/p90/p99, capped at the observed max).
 	LatencySnapshot = obs.Snapshot
 	// StageTrace accumulates one request's time per instrumented
-	// pipeline stage (artifact load, graph sweep/frames, enumeration
-	// prefix/fork, oracle build, simulation run). A nil *StageTrace is
+	// pipeline stage (graph sweep/frames, enumeration prefix/fork,
+	// oracle build, simulation run). A nil *StageTrace is
 	// fully inert, so instrumented code paths cost one pointer check
 	// when tracing is off.
 	StageTrace = obs.Trace
@@ -473,13 +413,12 @@ type (
 
 // Instrumented pipeline stages, in pipeline order.
 const (
-	StageArtifactLoad = obs.StageArtifactLoad
-	StageGraphSweep   = obs.StageGraphSweep
-	StageGraphFrames  = obs.StageGraphFrames
-	StageEnumPrefix   = obs.StageEnumPrefix
-	StageEnumFork     = obs.StageEnumFork
-	StageOracleBuild  = obs.StageOracleBuild
-	StageSimRun       = obs.StageSimRun
+	StageGraphSweep  = obs.StageGraphSweep
+	StageGraphFrames = obs.StageGraphFrames
+	StageEnumPrefix  = obs.StageEnumPrefix
+	StageEnumFork    = obs.StageEnumFork
+	StageOracleBuild = obs.StageOracleBuild
+	StageSimRun      = obs.StageSimRun
 )
 
 // StageNames lists the instrumented stage names in stage order, as
