@@ -35,7 +35,6 @@ import (
 	"time"
 
 	psn "repro"
-	"repro/internal/faultinject"
 	"repro/internal/pathenum"
 	"repro/internal/service"
 )
@@ -52,7 +51,6 @@ func main() {
 		accessLog    = flag.Bool("access-log", false, "log one structured line per request (method, path, dataset, status, latency, request ID)")
 		reqTimeout   = flag.Duration("request-timeout", 0, "deadline per experiment request: compute abandons cooperatively and the client gets 503 + Retry-After (0 = 30s, <0 = no deadline)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound: /healthz flips to 503 and in-flight requests get this long to finish")
-		injectSpec   = flag.String("inject", "", "fault-injection spec, e.g. graph-build:err*1,enumerate:delay=200ms,handler:panic (chaos testing only)")
 	)
 	reg := psn.NewRegistry()
 	flag.Func("trace", "register a file-backed dataset as name=path (repeatable)", func(v string) error {
@@ -64,15 +62,6 @@ func main() {
 	})
 	flag.Parse()
 
-	faults, err := faultinject.Parse(*injectSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psn-serve:", err)
-		os.Exit(2)
-	}
-	if faults != nil {
-		log.Printf("psn-serve: FAULT INJECTION ARMED (-inject %s)", *injectSpec)
-	}
-
 	srv := psn.NewServer(psn.ServeConfig{
 		Registry:       reg,
 		Workers:        *workers,
@@ -82,7 +71,6 @@ func main() {
 		TraceSlow:      *traceSlow,
 		AccessLog:      *accessLog,
 		RequestTimeout: *reqTimeout,
-		Faults:         faults,
 		Logger:         slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	})
 

@@ -133,9 +133,6 @@ func (o *Oracle) MEED() *forward.DistMatrix {
 	return o.meed
 }
 
-// Trace returns the trace the oracle was built from.
-func (o *Oracle) Trace() *trace.Trace { return o.tr }
-
 // Outcome records the fate of one message.
 type Outcome struct {
 	Msg       Message
@@ -201,8 +198,7 @@ func NewSweep(tr *trace.Trace) (*Sweep, error) {
 // Trace returns the sweep's trace.
 func (sw *Sweep) Trace() *trace.Trace { return sw.tr }
 
-// Oracle returns the sweep's precomputed tables, for sharing them with
-// another sweep through NewSweepFromOracle.
+// Oracle returns the sweep's precomputed tables.
 func (sw *Sweep) Oracle() *Oracle { return sw.oracle }
 
 // Run simulates one configuration of the sweep's trace. cfg.Trace may

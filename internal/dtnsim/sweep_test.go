@@ -156,7 +156,7 @@ func TestSweepValidation(t *testing.T) {
 	if sw.Trace() != tr {
 		t.Error("Trace() does not return the sweep trace")
 	}
-	if sw.Oracle() == nil || sw.Oracle().Trace() != tr {
+	if sw.Oracle() == nil || sw.Oracle().tr != tr {
 		t.Error("Oracle() not built from the sweep trace")
 	}
 	if _, err := sw.Run(Config{Algorithm: forward.Epidemic{}, Trace: other}); err == nil {

@@ -148,7 +148,7 @@ func oracleView(t *testing.T) *View {
 		t.Fatal(err)
 	}
 	v := NewView(4)
-	v.SetOracle(tr)
+	v.InstallOracleLazy(tr.ContactCounts(), func() *DistMatrix { return MEEDDistances(tr) })
 	return v
 }
 

@@ -91,7 +91,7 @@ type View struct {
 }
 
 // NewView allocates a View for n nodes with empty history and no
-// oracle tables (install them with SetOracle).
+// oracle tables (install them with InstallOracleLazy).
 func NewView(n int) *View {
 	v := &View{
 		numNodes: n,
@@ -149,7 +149,7 @@ func (v *View) EncounterCount(a, b trace.NodeID) int {
 func (v *View) ContactsSoFar(a trace.NodeID) int { return int(v.soFar[a]) }
 
 // TotalContacts returns a's whole-trace contact total (oracle); zero
-// before SetOracle.
+// before InstallOracleLazy.
 func (v *View) TotalContacts(a trace.NodeID) int {
 	if v.totals == nil {
 		return 0
@@ -158,9 +158,8 @@ func (v *View) TotalContacts(a trace.NodeID) int {
 }
 
 // MEEDDistance returns the oracle expected-delay distance from a to b,
-// or +Inf when unreachable or before SetOracle. With a lazily
-// installed oracle (InstallOracleLazy) the first call resolves the
-// distance matrix.
+// or +Inf when unreachable or before InstallOracleLazy. The first call
+// after InstallOracleLazy resolves the distance matrix.
 func (v *View) MEEDDistance(a, b trace.NodeID) float64 {
 	if v.meed == nil {
 		if v.meedFn == nil {
@@ -169,21 +168,6 @@ func (v *View) MEEDDistance(a, b trace.NodeID) float64 {
 		v.meed = v.meedFn()
 	}
 	return v.meed.At(a, b)
-}
-
-// SetOracle installs the future-knowledge tables used by Greedy Total
-// and Dynamic Programming, computed from the whole trace.
-func (v *View) SetOracle(tr *trace.Trace) {
-	v.InstallOracle(tr.ContactCounts(), MEEDDistances(tr))
-}
-
-// InstallOracle installs precomputed oracle tables. The tables are
-// read-only once installed, so parallel simulation shards can share
-// one computation of the O(n³) MEED metric across their views.
-func (v *View) InstallOracle(totals []int, meed *DistMatrix) {
-	v.totals = totals
-	v.meed = meed
-	v.meedFn = nil
 }
 
 // InstallOracleLazy installs the contact-total table eagerly and a

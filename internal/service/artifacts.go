@@ -1,16 +1,8 @@
 package service
 
 import (
-	"errors"
-	"fmt"
-	mathrand "math/rand/v2"
-	"sort"
-	"sync"
-	"time"
-
 	"repro/internal/dtnsim"
 	"repro/internal/engine"
-	"repro/internal/faultinject"
 	"repro/internal/figures"
 	"repro/internal/obs"
 	"repro/internal/pathenum"
@@ -34,14 +26,6 @@ import (
 // server runs out of memory.
 type artifacts struct {
 	reg *Registry
-
-	// faults arms the request path's injection points (nil in
-	// production — every Fire is one pointer check).
-	faults *faultinject.Injector
-
-	// deg tracks per-dataset consecutive build failures and the backoff
-	// windows they open (see degrader).
-	deg degrader
 
 	graphs    *memoMap[graphKey, *stgraph.Graph]
 	enums     *memoMap[enumKey, *pathenum.Enumerator]
@@ -87,32 +71,14 @@ const (
 	maxCachedHarnesses = 8
 )
 
-func newArtifacts(reg *Registry, faults *faultinject.Injector) *artifacts {
+func newArtifacts(reg *Registry) *artifacts {
 	return &artifacts{
 		reg:       reg,
-		faults:    faults,
 		graphs:    newMemoMap[graphKey, *stgraph.Graph](maxCachedGraphs),
 		enums:     newMemoMap[enumKey, *pathenum.Enumerator](maxCachedEnums),
 		sweeps:    newMemoMap[string, *dtnsim.Sweep](maxCachedSweeps),
 		harnesses: newMemoMap[harnessKey, *figures.Harness](maxCachedHarnesses),
 	}
-}
-
-// noteBuild feeds the degrader with a build outcome. Canceled builds
-// (the requester gave up, the dataset is fine), unknown datasets, and
-// DegradedError itself say nothing about the dataset's health and are
-// excluded from failure counting.
-func (a *artifacts) noteBuild(dataset string, err error) {
-	if err == nil {
-		a.deg.ok(dataset)
-		return
-	}
-	var unknown *UnknownDatasetError
-	var deg *DegradedError
-	if engine.IsCanceled(err) || errors.As(err, &unknown) || errors.As(err, &deg) {
-		return
-	}
-	a.deg.fail(dataset)
 }
 
 // graph returns the indexed space-time graph of a dataset at step
@@ -127,24 +93,12 @@ func (a *artifacts) graph(dataset string, delta float64, ot *obs.Trace, cc *engi
 		delta = stgraph.DefaultDelta
 	}
 	return a.graphs.get(cc, graphKey{dataset, delta}, func() (*stgraph.Graph, error) {
-		if err := a.deg.check(dataset); err != nil {
+		tr, err := a.reg.traceCancel(dataset, cc)
+		if err != nil {
 			return nil, err
 		}
-		g, err := a.buildGraph(dataset, delta, ot, cc)
-		a.noteBuild(dataset, err)
-		return g, err
+		return stgraph.NewWorkersCancel(tr, delta, 0, ot, cc)
 	})
-}
-
-func (a *artifacts) buildGraph(dataset string, delta float64, ot *obs.Trace, cc *engine.Cancel) (*stgraph.Graph, error) {
-	tr, err := a.reg.traceCancel(dataset, cc)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.faults.FireCancel(faultinject.PointGraphBuild, cc); err != nil {
-		return nil, err
-	}
-	return stgraph.NewWorkersCancel(tr, delta, 0, ot, cc)
 }
 
 // enumerator returns an enumerator for the dataset under the given
@@ -175,24 +129,12 @@ func (a *artifacts) sweep(dataset string, ot *obs.Trace, cc *engine.Cancel) (*dt
 		return nil, nil, err
 	}
 	sw, err := a.sweeps.get(cc, dataset, func() (*dtnsim.Sweep, error) {
-		if err := a.deg.check(dataset); err != nil {
-			return nil, err
-		}
-		sw, err := a.buildSweep(tr, ot, cc)
-		a.noteBuild(dataset, err)
+		sp := ot.Start(obs.StageOracleBuild)
+		sw, err := dtnsim.NewSweep(tr)
+		sp.End()
 		return sw, err
 	})
 	return sw, tr, err
-}
-
-func (a *artifacts) buildSweep(tr *trace.Trace, ot *obs.Trace, cc *engine.Cancel) (*dtnsim.Sweep, error) {
-	if err := a.faults.FireCancel(faultinject.PointOracleBuild, cc); err != nil {
-		return nil, err
-	}
-	sp := ot.Start(obs.StageOracleBuild)
-	sw, err := dtnsim.NewSweep(tr)
-	sp.End()
-	return sw, err
 }
 
 // harness returns the figure harness for a parameter set. The harness
@@ -204,115 +146,4 @@ func (a *artifacts) harness(p figures.Params, cc *engine.Cancel) *figures.Harnes
 		return figures.NewHarness(p), nil
 	})
 	return h
-}
-
-// DegradedError reports a dataset whose artifact pipeline is sitting
-// out a backoff window after repeated consecutive build failures.
-// Requests needing a fresh build for it are answered 503 with
-// RetryAfter as the Retry-After hint instead of hammering a rebuild
-// that keeps failing; artifacts already cached keep serving.
-type DegradedError struct {
-	Dataset    string
-	RetryAfter time.Duration
-}
-
-func (e *DegradedError) Error() string {
-	return fmt.Sprintf("dataset %q degraded after repeated build failures (retry in %v)",
-		e.Dataset, e.RetryAfter.Round(time.Millisecond))
-}
-
-// Degrader tuning: after degradeThreshold consecutive build failures a
-// dataset enters a backoff window starting at degradeBase and doubling
-// per further failure up to degradeMax, with jitter (the window's
-// upper half is randomized) so shedded clients retrying on the hint
-// don't re-synchronize.
-const (
-	degradeThreshold = 3
-	degradeBase      = time.Second
-	degradeMax       = time.Minute
-)
-
-// degrader tracks consecutive artifact-build failures per dataset and
-// the backoff windows they open. A window expiring lets exactly the
-// builds that arrive after it through as probes: a success resets the
-// dataset, another failure opens a longer window.
-type degrader struct {
-	mu    sync.Mutex
-	state map[string]*degradeState
-}
-
-type degradeState struct {
-	fails int
-	until time.Time // backoff window end; zero = not degraded
-}
-
-// check returns a *DegradedError while dataset is inside a backoff
-// window, nil otherwise.
-func (d *degrader) check(dataset string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.state[dataset]
-	if st == nil || st.until.IsZero() {
-		return nil
-	}
-	if rem := time.Until(st.until); rem > 0 {
-		return &DegradedError{Dataset: dataset, RetryAfter: rem}
-	}
-	st.until = time.Time{} // window over: let a probe build through
-	return nil
-}
-
-// fail records one consecutive build failure, opening (or widening)
-// the dataset's backoff window once the threshold is crossed.
-func (d *degrader) fail(dataset string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state == nil {
-		d.state = make(map[string]*degradeState)
-	}
-	st := d.state[dataset]
-	if st == nil {
-		st = &degradeState{}
-		d.state[dataset] = st
-	}
-	st.fails++
-	if st.fails < degradeThreshold {
-		return
-	}
-	shift := st.fails - degradeThreshold
-	if shift > 10 {
-		shift = 10
-	}
-	w := degradeBase << shift
-	if w > degradeMax {
-		w = degradeMax
-	}
-	w = w/2 + time.Duration(mathrand.Int64N(int64(w/2)+1))
-	st.until = time.Now().Add(w)
-}
-
-// ok resets a dataset after a successful build.
-func (d *degrader) ok(dataset string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if st := d.state[dataset]; st != nil {
-		st.fails = 0
-		st.until = time.Time{}
-	}
-}
-
-// degraded lists the datasets currently inside a backoff window,
-// sorted (for /healthz and the degraded-datasets gauge).
-func (d *degrader) degraded() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []string
-	now := time.Now()
-	for name, st := range d.state {
-		if !st.until.IsZero() && st.until.After(now) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

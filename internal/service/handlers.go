@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dtnsim"
 	"repro/internal/engine"
-	"repro/internal/faultinject"
 	"repro/internal/figures"
 	"repro/internal/forward"
 	"repro/internal/obs"
@@ -20,10 +19,10 @@ import (
 // --- GET /healthz ---
 
 // HealthResponse is the /healthz body. Status is "ok" normally,
-// "degraded" while any dataset is in a build-failure backoff window
-// (still HTTP 200 — cached artifacts keep serving), and "draining"
-// during shutdown (HTTP 503, so load balancers stop routing here while
-// in-flight requests finish).
+// "degraded" while any file-backed dataset is in a load-failure
+// backoff window (still HTTP 200 — every other dataset keeps serving),
+// and "draining" during shutdown (HTTP 503, so load balancers stop
+// routing here while in-flight requests finish).
 type HealthResponse struct {
 	Status   string   `json:"status"`
 	Datasets int      `json:"datasets"`
@@ -32,7 +31,7 @@ type HealthResponse struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 	resp := HealthResponse{Status: "ok", Datasets: len(s.cfg.Registry.Names())}
-	if deg := s.art.deg.degraded(); len(deg) > 0 {
+	if deg := s.cfg.Registry.degraded(); len(deg) > 0 {
 		resp.Status = "degraded"
 		resp.Degraded = deg
 	}
@@ -48,7 +47,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, ri *reqIn
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, s.results, s.art)
+	s.metrics.write(w, s.results, s.cfg.Registry)
 }
 
 // --- GET /datasets ---
@@ -240,18 +239,15 @@ func (s *Server) enumerate(dataset string, msgs []pathenum.Message, opt pathenum
 	if err != nil {
 		return nil, err
 	}
-	// Refused before the graph build, so a bad delta never counts as a
-	// build failure toward the dataset's degraded mode. Negated so that
-	// a step count that overflowed to +Inf is refused too.
+	// Refused before the graph build, which allocates per step.
+	// Negated so that a step count that overflowed to +Inf is refused
+	// too.
 	if steps := tr.Horizon / opt.Delta; !(steps <= maxGraphSteps) {
 		return nil, badRequest("delta %g over the %g s horizon is %.3g steps, over the %d-step limit",
 			opt.Delta, tr.Horizon, steps, maxGraphSteps)
 	}
 	enum, err := s.art.enumerator(dataset, opt, ot, cc)
 	if err != nil {
-		return nil, err
-	}
-	if err := s.art.faults.FireCancel(faultinject.PointEnumerate, cc); err != nil {
 		return nil, err
 	}
 	results, err := enum.EnumerateAllCancel(msgs, ot, cc)
@@ -450,9 +446,6 @@ func (s *Server) simulate(req SimulateRequest, ot *obs.Trace, cc *engine.Cancel)
 	if msgs := req.Rate * tr.Horizon * req.GenFraction * float64(req.Runs); !(msgs <= maxSimulateMessages) {
 		return nil, badRequest("rate %g × %g s × genFraction %g × %d runs is about %.3g messages, over the %d-message limit",
 			req.Rate, tr.Horizon, req.GenFraction, req.Runs, msgs, maxSimulateMessages)
-	}
-	if err := s.art.faults.FireCancel(faultinject.PointSimulate, cc); err != nil {
-		return nil, err
 	}
 	runs := make([]*dtnsim.Result, req.Runs)
 	for i := range runs {

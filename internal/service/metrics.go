@@ -115,8 +115,8 @@ func (m *metrics) countStatus(code int) {
 }
 
 // write emits the Prometheus text exposition. cache supplies the
-// result-cache counters, art the degraded-dataset gauge.
-func (m *metrics) write(w io.Writer, cache *lruCache, art *artifacts) {
+// result-cache counters, reg the degraded-dataset gauge.
+func (m *metrics) write(w io.Writer, cache *lruCache, reg *Registry) {
 	fmt.Fprintf(w, "# HELP psn_requests_total Requests received, by endpoint.\n")
 	fmt.Fprintf(w, "# TYPE psn_requests_total counter\n")
 	m.mu.Lock()
@@ -175,7 +175,7 @@ func (m *metrics) write(w io.Writer, cache *lruCache, art *artifacts) {
 
 	fmt.Fprintf(w, "# HELP psn_degraded_datasets Datasets currently in a build-failure backoff window.\n")
 	fmt.Fprintf(w, "# TYPE psn_degraded_datasets gauge\n")
-	fmt.Fprintf(w, "psn_degraded_datasets %d\n", len(art.deg.degraded()))
+	fmt.Fprintf(w, "psn_degraded_datasets %d\n", len(reg.degraded()))
 
 	// Request latency histograms, one labeled series set per endpoint
 	// that has served at least one request (the exposition stays

@@ -23,10 +23,12 @@ package service
 
 import (
 	"fmt"
+	mathrand "math/rand/v2"
 	"os"
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/trace"
@@ -70,6 +72,8 @@ type regEntry struct {
 	tr     *trace.Trace // memoized successful build
 	err    error        // memoized permanent failure (synthetic builders)
 	flight *regFlight   // in-progress build, joined by concurrent callers
+	fails  int          // consecutive failed file builds
+	until  time.Time    // end of the backoff window they opened
 }
 
 // regFlight is one in-progress build: concurrent callers wait on done
@@ -146,7 +150,7 @@ func (r *Registry) mustRegister(name, kind string, build func() (*trace.Trace, e
 // fails at startup — but the file is parsed lazily behind the
 // registry's singleflight on first use, so registering large traces
 // does not stall server boot. A parse or read failure surfaces on the
-// request naming the dataset and is retried on the next one (see
+// request naming the dataset and is retried on a later one (see
 // Trace), so a transient file error never permanently poisons the
 // dataset.
 func (r *Registry) RegisterFile(name, path string) error {
@@ -213,8 +217,11 @@ func (e *UnknownDatasetError) Error() string {
 // memoized forever — plus failures of synthetic builders, which are
 // deterministic and cannot succeed on retry. A failed file-backed
 // build (a transient open or read error on a KindFile dataset) is NOT
-// memoized: the next request retries the file instead of the error
-// permanently poisoning the dataset until restart.
+// memoized: a later request retries the file instead of the error
+// permanently poisoning the dataset until restart. After
+// degradeThreshold consecutive failures the dataset is degraded:
+// calls return a *DegradedError without touching the file until the
+// backoff window ends, and the first build after it is the probe.
 func (r *Registry) Trace(name string) (*trace.Trace, error) {
 	return r.traceCancel(name, nil)
 }
@@ -233,15 +240,19 @@ func (r *Registry) traceCancel(name string, cc *engine.Cancel) (*trace.Trace, er
 	if !ok {
 		return nil, &UnknownDatasetError{Name: name, Available: r.Names()}
 	}
-	return e.trace(cc)
+	return e.trace(name, cc)
 }
 
-func (e *regEntry) trace(cc *engine.Cancel) (*trace.Trace, error) {
+func (e *regEntry) trace(name string, cc *engine.Cancel) (*trace.Trace, error) {
 	e.mu.Lock()
 	if e.tr != nil || e.err != nil {
 		tr, err := e.tr, e.err
 		e.mu.Unlock()
 		return tr, err
+	}
+	if rem := time.Until(e.until); rem > 0 {
+		e.mu.Unlock()
+		return nil, &DegradedError{Dataset: name, RetryAfter: rem}
 	}
 	if f := e.flight; f != nil {
 		e.mu.Unlock()
@@ -264,11 +275,20 @@ func (e *regEntry) trace(cc *engine.Cancel) (*trace.Trace, error) {
 		}
 		e.mu.Lock()
 		e.flight = nil
-		if f.err == nil {
+		switch {
+		case f.err == nil:
 			e.tr = f.tr
-		} else if e.kind != KindFile && done {
-			// Panics are not memoized: they may be injected faults or
-			// other transients a retry can clear.
+			e.fails, e.until = 0, time.Time{}
+		case !done:
+			// Panics are neither memoized nor counted: a retry may
+			// clear them.
+		case e.kind == KindFile:
+			e.fails++
+			if e.fails >= degradeThreshold {
+				w := min(degradeBase<<min(e.fails-degradeThreshold, 10), degradeMax)
+				e.until = time.Now().Add(w/2 + time.Duration(mathrand.Int64N(int64(w/2)+1)))
+			}
+		default:
 			e.err = f.err
 		}
 		e.mu.Unlock()
@@ -278,3 +298,46 @@ func (e *regEntry) trace(cc *engine.Cancel) (*trace.Trace, error) {
 	done = true
 	return f.tr, f.err
 }
+
+// degraded lists the datasets currently inside a backoff window,
+// sorted (for /healthz and the degraded-datasets gauge).
+func (r *Registry) degraded() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []string
+	now := time.Now()
+	for name, e := range r.entries {
+		e.mu.Lock()
+		if e.until.After(now) {
+			out = append(out, name)
+		}
+		e.mu.Unlock()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// DegradedError reports a file-backed dataset that is sitting out a
+// backoff window after repeated consecutive load failures. Requests
+// naming it are answered 503 with RetryAfter as the Retry-After hint
+// instead of re-reading a file that keeps failing.
+type DegradedError struct {
+	Dataset    string
+	RetryAfter time.Duration
+}
+
+func (e *DegradedError) Error() string {
+	return fmt.Sprintf("dataset %q degraded after repeated build failures (retry in %v)",
+		e.Dataset, e.RetryAfter.Round(time.Millisecond))
+}
+
+// Backoff tuning: after degradeThreshold consecutive load failures a
+// dataset enters a backoff window starting at degradeBase and doubling
+// per further failure up to degradeMax, with jitter (the window's
+// upper half is randomized) so shedded clients retrying on the hint
+// don't re-synchronize.
+const (
+	degradeThreshold = 3
+	degradeBase      = time.Second
+	degradeMax       = time.Minute
+)

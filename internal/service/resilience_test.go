@@ -8,18 +8,63 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
+	"repro/internal/pathenum"
+	"repro/internal/trace"
+	"repro/internal/tracegen"
 )
 
 const enumBody = `{"dataset":"dev","src":0,"dst":17,"start":0,"k":50}`
+
+// gate holds the build of the "gated" dataset in flight, so a test can
+// keep requests waiting on a cold dataset without sleeping.
+type gate struct {
+	entered chan struct{} // closed when the build starts
+	open    func()        // lets the build return the dev trace; idempotent
+}
+
+// gatedRegistry returns the built-in registry plus a "gated" dataset
+// whose single build waits on the returned gate. The gate is opened at
+// cleanup, so a failing test never leaves the builder blocked.
+func gatedRegistry(t *testing.T) (*Registry, *gate) {
+	t.Helper()
+	release := make(chan struct{})
+	g := &gate{entered: make(chan struct{}), open: sync.OnceFunc(func() { close(release) })}
+	t.Cleanup(g.open)
+	reg := NewRegistry()
+	if err := reg.Register("gated", KindSynthetic, func() (*trace.Trace, error) {
+		close(g.entered)
+		<-release
+		return tracegen.Dev(1), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return reg, g
+}
+
+// registerGarbageFile registers name as a file-backed dataset whose
+// file holds no trace, and returns the file's path.
+func registerGarbageFile(t *testing.T, reg *Registry, name string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name+".txt")
+	if err := os.WriteFile(path, []byte("not a trace\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.RegisterFile(name, path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 // metricValue scrapes one counter/gauge value (with its label set
 // spelled exactly as exposed) from the server's /metrics.
@@ -44,14 +89,22 @@ func metricValue(t *testing.T, ts *httptest.Server, metric string) int64 {
 // TestRequestDeadlineSheds: a request whose compute outlives
 // RequestTimeout is abandoned at a cancellation checkpoint and
 // answered 503 with a Retry-After hint, counted under
-// psn_cancelled_total{reason="deadline"}.
+// psn_cancelled_total{reason="deadline"}. Here the request waits on a
+// dataset build another caller holds in flight.
 func TestRequestDeadlineSheds(t *testing.T) {
-	faults := faultinject.New()
-	faults.Set(faultinject.PointEnumerate, faultinject.Fault{Delay: 10 * time.Second, Count: 1})
-	_, ts := newTestServer(t, Config{RequestTimeout: 50 * time.Millisecond, Faults: faults})
+	reg, g := gatedRegistry(t)
+	s, ts := newTestServer(t, Config{Registry: reg, RequestTimeout: 50 * time.Millisecond})
+	const gatedBody = `{"dataset":"gated","src":0,"dst":17,"start":0,"k":50}`
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := reg.Trace("gated")
+		held <- err
+	}()
+	<-g.entered
 
 	start := time.Now()
-	resp, err := http.Post(ts.URL+"/enumerate", "application/json", strings.NewReader(enumBody))
+	resp, err := http.Post(ts.URL+"/enumerate", "application/json", strings.NewReader(gatedBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +115,8 @@ func TestRequestDeadlineSheds(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 deadline response missing Retry-After")
 	}
-	// The injected stage would run 10s; the deadline must cut it off
-	// orders of magnitude sooner.
+	// The build is held until released; the deadline must cut the wait
+	// off orders of magnitude sooner.
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("deadlined request took %v", d)
 	}
@@ -74,21 +127,28 @@ func TestRequestDeadlineSheds(t *testing.T) {
 		t.Errorf(`psn_cancelled_total{reason="client"} = %d, want 0`, got)
 	}
 
-	// The fault is spent (*1): the same request now completes.
-	code, _ := post(t, ts.URL+"/enumerate", enumBody)
+	// Release the build and warm the graph and enumerator without a
+	// deadline: the same request now completes.
+	g.open()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Enumerate("gated", []pathenum.Message{{Src: 0, Dst: 17}}, pathenum.Options{K: 50, Workers: s.workers(0)}); err != nil {
+		t.Fatal(err)
+	}
+	code, _ := post(t, ts.URL+"/enumerate", gatedBody)
 	if code != http.StatusOK {
 		t.Fatalf("request after deadline shed: status %d, want 200", code)
 	}
 }
 
 // TestClientDisconnectCancels: a request whose client has gone away is
-// abandoned and accounted 499 under reason="client". Driven through
-// ServeHTTP directly — a real disconnected socket can't carry the
-// response back for inspection.
+// abandoned — here at the cold graph build's first checkpoint — and
+// accounted 499 under reason="client". Driven through ServeHTTP
+// directly — a real disconnected socket can't carry the response back
+// for inspection.
 func TestClientDisconnectCancels(t *testing.T) {
-	faults := faultinject.New()
-	faults.Set(faultinject.PointEnumerate, faultinject.Fault{Delay: 10 * time.Second, Count: 1})
-	s, ts := newTestServer(t, Config{Faults: faults})
+	s, ts := newTestServer(t, Config{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client is already gone
@@ -107,13 +167,17 @@ func TestClientDisconnectCancels(t *testing.T) {
 
 // TestPanicRecoveryMiddleware: a panicking handler is contained to its
 // request — 500 carrying the request ID, psn_panics_total incremented,
-// and the server keeps serving.
+// and the server keeps serving. The panic comes from a dataset builder
+// and travels up through the result cache's fill.
 func TestPanicRecoveryMiddleware(t *testing.T) {
-	faults := faultinject.New()
-	faults.Set(faultinject.PointHandler, faultinject.Fault{Panic: "chaos", Count: 1})
-	_, ts := newTestServer(t, Config{Faults: faults})
+	reg := NewRegistry()
+	if err := reg.Register("panicky", KindSynthetic, panickyBuilder(1)); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Registry: reg})
+	const panickyBody = `{"dataset":"panicky","src":0,"dst":17,"start":0,"k":50}`
 
-	resp, err := http.Post(ts.URL+"/enumerate", "application/json", strings.NewReader(enumBody))
+	resp, err := http.Post(ts.URL+"/enumerate", "application/json", strings.NewReader(panickyBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +203,18 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	}
 }
 
+// panickyBuilder returns a dataset builder that panics on its first n
+// calls and builds the dev trace after that.
+func panickyBuilder(n int64) func() (*trace.Trace, error) {
+	var calls atomic.Int64
+	return func() (*trace.Trace, error) {
+		if calls.Add(1) <= n {
+			panic("chaos")
+		}
+		return tracegen.Dev(1), nil
+	}
+}
+
 func readJSON(resp *http.Response, v any) error {
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(v)
@@ -150,58 +226,69 @@ func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// TestDegradedMode: repeated build failures trip the dataset into a
-// backoff window answering 503 + Retry-After, visible on /healthz and
-// /metrics; a healthy probe build after the window restores service.
+// TestDegradedMode: repeated load failures of a file-backed dataset
+// trip it into a backoff window answering 503 + Retry-After, visible
+// on /healthz and /metrics; a healthy probe build after the window
+// restores service. Both experiment endpoints resolve the dataset
+// first, so each must see the window.
 func TestDegradedMode(t *testing.T) {
-	faults := faultinject.New()
-	faults.Set(faultinject.PointGraphBuild, faultinject.Fault{Err: faultinject.ErrInjected, Count: degradeThreshold})
-	s, ts := newTestServer(t, Config{Faults: faults})
+	for _, tc := range []struct{ path, body string }{
+		{"/enumerate", `{"dataset":"flaky","src":0,"dst":17,"start":0,"k":50}`},
+		{"/simulate", `{"dataset":"flaky","algorithm":"epidemic","runs":1}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/"), func(t *testing.T) {
+			reg := NewRegistry()
+			path := registerGarbageFile(t, reg, "flaky")
+			_, ts := newTestServer(t, Config{Registry: reg})
 
-	for i := 0; i < degradeThreshold; i++ {
-		if code, body := post(t, ts.URL+"/enumerate", enumBody); code != http.StatusInternalServerError {
-			t.Fatalf("failing build %d: status %d (%s), want 500", i, code, body)
-		}
-	}
+			for i := 0; i < degradeThreshold; i++ {
+				if code, body := post(t, ts.URL+tc.path, tc.body); code != http.StatusInternalServerError {
+					t.Fatalf("failing build %d: status %d (%s), want 500", i, code, body)
+				}
+			}
 
-	resp, err := http.Post(ts.URL+"/enumerate", "application/json", strings.NewReader(enumBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("degraded dataset: status %d, want 503", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Error("degraded 503 missing Retry-After")
-	} else if n, err := strconv.Atoi(ra); err != nil || n < 1 {
-		t.Errorf("Retry-After = %q, want a positive integer", ra)
-	}
-	if got := metricValue(t, ts, "psn_degraded_datasets"); got != 1 {
-		t.Errorf("psn_degraded_datasets = %d, want 1", got)
-	}
-	code, body := get(t, ts.URL+"/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("/healthz while degraded: status %d, want 200 (cached data still serves)", code)
-	}
-	if !strings.Contains(string(body), `"status":"degraded"`) || !strings.Contains(string(body), `"dev"`) {
-		t.Errorf("/healthz does not report the degraded dataset: %s", body)
-	}
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("degraded dataset: status %d, want 503", resp.StatusCode)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra == "" {
+				t.Error("degraded 503 missing Retry-After")
+			} else if n, err := strconv.Atoi(ra); err != nil || n < 1 {
+				t.Errorf("Retry-After = %q, want a positive integer", ra)
+			}
+			if got := metricValue(t, ts, "psn_degraded_datasets"); got != 1 {
+				t.Errorf("psn_degraded_datasets = %d, want 1", got)
+			}
+			code, body := get(t, ts.URL+"/healthz")
+			if code != http.StatusOK {
+				t.Fatalf("/healthz while degraded: status %d, want 200 (the other datasets still serve)", code)
+			}
+			if !strings.Contains(string(body), `"status":"degraded"`) || !strings.Contains(string(body), `"flaky"`) {
+				t.Errorf("/healthz does not report the degraded dataset: %s", body)
+			}
 
-	// Recovery: the fault is exhausted; expire the backoff window so
-	// the next request probes a build through — it succeeds and clears
-	// the degraded state.
-	s.art.deg.mu.Lock()
-	s.art.deg.state["dev"].until = time.Now().Add(-time.Second)
-	s.art.deg.mu.Unlock()
-	if code, body := post(t, ts.URL+"/enumerate", enumBody); code != http.StatusOK {
-		t.Fatalf("probe build after recovery: status %d (%s), want 200", code, body)
-	}
-	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK || !strings.Contains(string(body), `"status":"ok"`) {
-		t.Errorf("/healthz after recovery: status %d body %s, want ok", code, body)
-	}
-	if got := metricValue(t, ts, "psn_degraded_datasets"); got != 0 {
-		t.Errorf("psn_degraded_datasets after recovery = %d, want 0", got)
+			// Recovery: repair the file and expire the backoff window so
+			// the next request probes a build through — it succeeds and
+			// clears the degraded state.
+			writeTraceFile(t, path, tracegen.Dev(1))
+			e := reg.entries["flaky"]
+			e.mu.Lock()
+			e.until = time.Now().Add(-time.Second)
+			e.mu.Unlock()
+			if code, body := post(t, ts.URL+tc.path, tc.body); code != http.StatusOK {
+				t.Fatalf("probe build after recovery: status %d (%s), want 200", code, body)
+			}
+			if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK || !strings.Contains(string(body), `"status":"ok"`) {
+				t.Errorf("/healthz after recovery: status %d body %s, want ok", code, body)
+			}
+			if got := metricValue(t, ts, "psn_degraded_datasets"); got != 0 {
+				t.Errorf("psn_degraded_datasets after recovery = %d, want 0", got)
+			}
+		})
 	}
 }
 
@@ -237,19 +324,17 @@ func TestEnumerateRefusesHugeGraph(t *testing.T) {
 // while an in-flight slow request still completes — the regression
 // shape of graceful shutdown (probes fail first, work finishes).
 func TestDrainFlipsHealthz(t *testing.T) {
-	faults := faultinject.New()
-	faults.Set(faultinject.PointEnumerate, faultinject.Fault{Delay: 300 * time.Millisecond, Count: 1})
-	s, ts := newTestServer(t, Config{Faults: faults})
+	reg, g := gatedRegistry(t)
+	s, ts := newTestServer(t, Config{Registry: reg})
 
 	type result struct {
 		code int
 		body string
 	}
 	inflight := make(chan result, 1)
-	started := make(chan struct{})
 	go func() {
-		close(started)
-		resp, err := http.Post(ts.URL+"/enumerate", "application/json", strings.NewReader(enumBody))
+		resp, err := http.Post(ts.URL+"/enumerate", "application/json",
+			strings.NewReader(`{"dataset":"gated","src":0,"dst":17,"start":0,"k":50}`))
 		if err != nil {
 			inflight <- result{0, err.Error()}
 			return
@@ -257,8 +342,7 @@ func TestDrainFlipsHealthz(t *testing.T) {
 		defer resp.Body.Close()
 		inflight <- result{resp.StatusCode, ""}
 	}()
-	<-started
-	time.Sleep(50 * time.Millisecond) // the slow request is inside the handler now
+	<-g.entered // the slow request is inside the handler now
 	s.SetDraining(true)
 
 	code, body := get(t, ts.URL+"/healthz")
@@ -269,6 +353,7 @@ func TestDrainFlipsHealthz(t *testing.T) {
 		t.Errorf("/healthz body %s, want status draining", body)
 	}
 
+	g.open()
 	r := <-inflight
 	if r.code != http.StatusOK {
 		t.Fatalf("in-flight request during drain: status %d %s, want 200", r.code, r.body)
@@ -307,21 +392,30 @@ func TestDeadlineEquivalence(t *testing.T) {
 	}
 }
 
-// TestChaosSuite floods a fault-riddled server with concurrent mixed
-// traffic and asserts the availability contract: every response is a
-// well-formed HTTP answer from the expected set, /healthz keeps
-// answering, nothing crashes, and no goroutines leak.
+// TestChaosSuite floods a server whose datasets fail, panic and stall
+// in their builds with concurrent mixed traffic and asserts the
+// availability contract: every response is a well-formed HTTP answer
+// from the expected set, /healthz keeps answering, nothing crashes,
+// and no goroutines leak.
 func TestChaosSuite(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 
-	faults := faultinject.New()
-	faults.Set(faultinject.PointEnumerate, faultinject.Fault{Err: faultinject.ErrInjected, Count: 5})
-	faults.Set(faultinject.PointSimulate, faultinject.Fault{Delay: 20 * time.Millisecond, Count: 5})
-	faults.Set(faultinject.PointHandler, faultinject.Fault{Panic: "chaos", Count: 3})
+	reg := NewRegistry()
+	registerGarbageFile(t, reg, "broken")
+	if err := reg.Register("panicky", KindSynthetic, panickyBuilder(3)); err != nil {
+		t.Fatal(err)
+	}
+	// The slow build outlasts the request deadline below.
+	if err := reg.Register("slow", KindSynthetic, func() (*trace.Trace, error) {
+		time.Sleep(300 * time.Millisecond)
+		return tracegen.Dev(1), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	logger := discardLogger()
 	s, ts := newTestServer(t, Config{
+		Registry:       reg,
 		RequestTimeout: 250 * time.Millisecond,
-		Faults:         faults,
 		Logger:         logger,
 	})
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -332,7 +426,7 @@ func TestChaosSuite(t *testing.T) {
 	)
 	allowed := map[int]bool{
 		http.StatusOK:                  true,
-		http.StatusInternalServerError: true, // injected errors, contained panics
+		http.StatusInternalServerError: true, // failed loads, contained panics
 		http.StatusServiceUnavailable:  true, // deadline sheds, inflight sheds, degraded
 	}
 	var wg sync.WaitGroup
@@ -341,6 +435,9 @@ func TestChaosSuite(t *testing.T) {
 		{"/enumerate", enumBody},
 		{"/simulate", `{"dataset":"dev","algorithm":"epidemic","runs":1}`},
 		{"/enumerate", `{"dataset":"dev","messages":[{"src":1,"dst":5,"start":10}],"k":40}`},
+		{"/enumerate", `{"dataset":"broken","src":0,"dst":17,"start":0,"k":50}`},
+		{"/simulate", `{"dataset":"panicky","algorithm":"epidemic","runs":1}`},
+		{"/enumerate", `{"dataset":"slow","src":0,"dst":17,"start":0,"k":50}`},
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -377,7 +474,7 @@ func TestChaosSuite(t *testing.T) {
 		t.Error(err)
 	}
 
-	// With the faults spent, the server answers normally again.
+	// The healthy dataset answers normally after the chaos.
 	if code, body := post(t, ts.URL+"/enumerate", enumBody); code != http.StatusOK {
 		t.Fatalf("post-chaos enumerate: status %d (%s)", code, body)
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/figures"
 	"repro/internal/forward"
 	"repro/internal/pathenum"
-	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
 
@@ -496,19 +495,10 @@ func TestServedRequestLimits(t *testing.T) {
 // endpoints still answer, and the stuck request completes normally once
 // the build unblocks.
 func TestServedBackpressure503(t *testing.T) {
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	reg := NewRegistry()
-	if err := reg.Register("slow", KindSynthetic, func() (*trace.Trace, error) {
-		close(entered)
-		<-release
-		return tracegen.Dev(1), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	reg, g := gatedRegistry(t)
 	_, ts := newTestServer(t, Config{Registry: reg, MaxInflight: 1})
 
-	const body = `{"dataset":"slow","src":0,"dst":17,"start":0,"k":5}`
+	const body = `{"dataset":"gated","src":0,"dst":17,"start":0,"k":5}`
 	type result struct {
 		status int
 		body   []byte
@@ -527,7 +517,7 @@ func TestServedBackpressure503(t *testing.T) {
 	}()
 	// Only proceed once the single slot is provably held: the first
 	// request is inside the blocked dataset build.
-	<-entered
+	<-g.entered
 
 	resp, err := http.Post(ts.URL+"/enumerate", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -563,7 +553,7 @@ func TestServedBackpressure503(t *testing.T) {
 		}
 	}
 
-	close(release)
+	g.open()
 	r := <-first
 	if r.err != nil {
 		t.Fatalf("blocked request failed: %v", r.err)

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -67,13 +66,6 @@ type Config struct {
 	// Probe endpoints are exempt. Zero means 30 s; negative disables
 	// the deadline (client disconnects still cancel).
 	RequestTimeout time.Duration
-
-	// Faults, when non-nil, arms the fault-injection points along the
-	// request path — graph and oracle builds, the enumerate/simulate
-	// compute stages, the handler envelope (see internal/faultinject
-	// and the psn-serve -inject flag). Nil, the production value, makes
-	// every injection point one pointer check.
-	Faults *faultinject.Injector
 
 	// AccessLog emits one structured log line per request (method, path,
 	// dataset, status, latency, request ID). Default off: the experiment
@@ -150,7 +142,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		art:     newArtifacts(cfg.Registry, cfg.Faults),
+		art:     newArtifacts(cfg.Registry),
 		results: newLRUCache(cfg.CacheSize),
 		metrics: newMetrics(),
 		idTag:   mathrand.Uint64() << 32,
@@ -244,8 +236,7 @@ func (s *Server) count(endpoint string, h func(http.ResponseWriter, *http.Reques
 // in-flight semaphore. When the semaphore is full the request is shed
 // immediately with 503 — callers retry against a server that is
 // already making progress on earlier requests. Admitted requests get
-// their cancellation token armed (client connection + RequestTimeout)
-// and pass through the "handler" fault-injection point.
+// their cancellation token armed (client connection + RequestTimeout).
 func (s *Server) limited(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
 	return s.count(endpoint, func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 		if s.sem != nil {
@@ -262,10 +253,6 @@ func (s *Server) limited(endpoint string, h func(http.ResponseWriter, *http.Requ
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
 		ri.cancel = engine.NewCancel(r.Context(), s.cfg.RequestTimeout)
-		if err := s.cfg.Faults.FireCancel(faultinject.PointHandler, &ri.cancel); err != nil {
-			s.writeHandlerError(w, ri, err)
-			return
-		}
 		h(w, r, ri)
 	})
 }

@@ -26,9 +26,9 @@
 //     section);
 //   - the resilience layer: cooperative request cancellation
 //     (deadlines and client disconnects abandon compute at amortized
-//     checkpoints — CanceledError, IsCanceled), panic isolation and
-//     per-dataset degraded mode after repeated build failures
-//     (DegradedError); see the README's Resilience section.
+//     checkpoints — CanceledError, IsCanceled), panic isolation, and
+//     degraded mode for file-backed datasets whose file fails to load
+//     repeatedly (DegradedError); see the README's Resilience section.
 //
 // # Concurrency and determinism
 //
@@ -346,8 +346,7 @@ type (
 	// flags and the HTTP server.
 	Registry = service.Registry
 	// ServeConfig parametrizes the HTTP server (registry, workers,
-	// in-flight bound, result-cache size, request deadline, fault
-	// injection).
+	// in-flight bound, result-cache size, request deadline, logging).
 	ServeConfig = service.Config
 	// Server serves the repository's experiments as JSON endpoints
 	// over cached per-dataset artifacts. See cmd/psn-serve.
@@ -377,12 +376,12 @@ type CanceledError = engine.CanceledError
 // IsCanceled reports whether err is (or wraps) a CanceledError.
 func IsCanceled(err error) bool { return engine.IsCanceled(err) }
 
-// DegradedError is the serving layer's answer while a dataset is in a
-// build-failure backoff window: repeated artifact build failures trip
-// the dataset into degraded mode, new builds are refused with 503 +
-// Retry-After for the (exponentially growing, jittered) window, and a
-// probe build after each window restores service on success. Cached
-// artifacts keep serving throughout.
+// DegradedError is the serving layer's answer while a file-backed
+// dataset is in a load-failure backoff window: repeated failures to
+// load the dataset's file trip it into degraded mode, requests naming
+// it are refused with 503 + Retry-After for the (exponentially
+// growing, jittered) window, and a probe load after each window
+// restores service on success.
 type DegradedError = service.DegradedError
 
 // Observability.
