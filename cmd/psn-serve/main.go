@@ -1,6 +1,7 @@
 // Command psn-serve exposes the repository's experiments as an HTTP
-// JSON service: path enumeration, forwarding simulation and figure
-// data over a dataset registry with cached per-dataset artifacts.
+// JSON service: path enumeration and forwarding simulation over a
+// dataset registry with cached per-dataset artifacts. Figures are
+// rendered by psn-figures; the server only lists them.
 //
 // Usage:
 //
@@ -11,7 +12,7 @@
 //	psn-serve -selfcheck                       # smoke: serve, query, compare, exit
 //
 // Endpoints: GET /datasets, POST /enumerate, POST /simulate,
-// GET /figures, GET /figures/{id}/data, GET /healthz, GET /metrics.
+// GET /figures, GET /healthz, GET /metrics.
 // See the README's "Serving" section for request shapes and the
 // caching/determinism guarantees.
 package main
@@ -42,7 +43,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "engine worker goroutines per request (0 = GOMAXPROCS; results are identical)")
+		workers      = flag.Int("workers", 0, "engine worker goroutines every request runs on (0 = GOMAXPROCS; results are identical)")
 		maxInflight  = flag.Int("max-inflight", 0, "max experiment requests in flight (0 = 4x GOMAXPROCS, <0 = unlimited); excess requests get 503")
 		cacheSize    = flag.Int("cache-size", 0, "memoized-result LRU entries (0 = 256, <0 = disable)")
 		selfcheck    = flag.Bool("selfcheck", false, "start on an ephemeral port, verify /healthz and /enumerate against the library, and exit")

@@ -3,7 +3,6 @@ package service
 import (
 	"repro/internal/dtnsim"
 	"repro/internal/engine"
-	"repro/internal/figures"
 	"repro/internal/obs"
 	"repro/internal/pathenum"
 	"repro/internal/stgraph"
@@ -13,24 +12,23 @@ import (
 // artifacts caches the expensive immutable per-dataset structures
 // every request path needs: the indexed space-time graph (per dataset
 // and discretization step), enumerators over it (per enumeration
-// budget), the simulator's sweep engine (per dataset — oracle tables
-// plus pooled per-run state, so warm repeated /simulate requests pay
-// only the replay), and figure harnesses (per parameter set). Each is
-// built once behind singleflight and shared by all concurrent
-// requests; all of them are documented safe for concurrent use by
-// their packages. The caches are size-bounded LRUs because several
-// key dimensions (delta, enumeration budgets, harness scale) are
-// client-controlled: without a bound, a client sweeping distinct
-// parameter values would pin one multi-megabyte graph or enumerator
-// (whose pooled scratch retains arena chunks) per value until the
-// server runs out of memory.
+// budget), and the simulator's sweep engine (per dataset — oracle
+// tables plus pooled per-run state, so warm repeated /simulate
+// requests pay only the replay). Each is built once behind singleflight
+// and shared by all concurrent requests; all of them are documented
+// safe for concurrent use by their packages. Every enumerator runs on
+// the server's Workers, so the worker count is no key dimension. The
+// caches are size-bounded LRUs because several key dimensions (delta,
+// enumeration budgets) are client-controlled: without a bound, a
+// client sweeping distinct parameter values would pin one
+// multi-megabyte graph or enumerator (whose pooled scratch retains
+// arena chunks) per value until the server runs out of memory.
 type artifacts struct {
 	reg *Registry
 
-	graphs    *memoMap[graphKey, *stgraph.Graph]
-	enums     *memoMap[enumKey, *pathenum.Enumerator]
-	sweeps    *memoMap[string, *dtnsim.Sweep]
-	harnesses *memoMap[harnessKey, *figures.Harness]
+	graphs *memoMap[graphKey, *stgraph.Graph]
+	enums  *memoMap[enumKey, *pathenum.Enumerator]
+	sweeps *memoMap[string, *dtnsim.Sweep]
 }
 
 type graphKey struct {
@@ -44,40 +42,25 @@ type enumKey struct {
 	k           int
 	tableWidth  int
 	maxArrivals int
-	workers     int
-}
-
-// harnessKey is the figure-harness parameter tuple reachable over
-// HTTP. Datasets stay at the harness default (all four); Workers is
-// deliberately excluded — figures are byte-identical for every worker
-// count, so requests differing only in workers share one harness.
-type harnessKey struct {
-	messages int
-	k        int
-	simRuns  int
-	seed     int64
 }
 
 // Artifact cache bounds. Datasets are a fixed registry set, so the
-// client-controlled dimensions are delta (graphs), the enumeration
+// client-controlled dimensions are delta (graphs) and the enumeration
 // budget tuple (enumerators — the heaviest entries, each retaining
-// pooled arena scratch), and the harness parameter set (each harness
-// memoizes whole studies). Eviction only costs a rebuild on the next
+// pooled arena scratch). Eviction only costs a rebuild on the next
 // request for that key.
 const (
-	maxCachedGraphs    = 16
-	maxCachedEnums     = 32
-	maxCachedSweeps    = 32
-	maxCachedHarnesses = 8
+	maxCachedGraphs = 16
+	maxCachedEnums  = 32
+	maxCachedSweeps = 32
 )
 
 func newArtifacts(reg *Registry) *artifacts {
 	return &artifacts{
-		reg:       reg,
-		graphs:    newMemoMap[graphKey, *stgraph.Graph](maxCachedGraphs),
-		enums:     newMemoMap[enumKey, *pathenum.Enumerator](maxCachedEnums),
-		sweeps:    newMemoMap[string, *dtnsim.Sweep](maxCachedSweeps),
-		harnesses: newMemoMap[harnessKey, *figures.Harness](maxCachedHarnesses),
+		reg:    reg,
+		graphs: newMemoMap[graphKey, *stgraph.Graph](maxCachedGraphs),
+		enums:  newMemoMap[enumKey, *pathenum.Enumerator](maxCachedEnums),
+		sweeps: newMemoMap[string, *dtnsim.Sweep](maxCachedSweeps),
 	}
 }
 
@@ -106,7 +89,7 @@ func (a *artifacts) graph(dataset string, delta float64, ot *obs.Trace, cc *engi
 // delta) graph index — the expensive part — and each is itself safe
 // for concurrent Enumerate calls.
 func (a *artifacts) enumerator(dataset string, opt pathenum.Options, ot *obs.Trace, cc *engine.Cancel) (*pathenum.Enumerator, error) {
-	key := enumKey{dataset, opt.Delta, opt.K, opt.TableWidth, opt.MaxArrivals, opt.Workers}
+	key := enumKey{dataset, opt.Delta, opt.K, opt.TableWidth, opt.MaxArrivals}
 	return a.enums.get(cc, key, func() (*pathenum.Enumerator, error) {
 		tr, err := a.reg.traceCancel(dataset, cc)
 		if err != nil {
@@ -135,15 +118,4 @@ func (a *artifacts) sweep(dataset string, ot *obs.Trace, cc *engine.Cancel) (*dt
 		return sw, err
 	})
 	return sw, tr, err
-}
-
-// harness returns the figure harness for a parameter set. The harness
-// memoizes its own studies and simulation sweeps, so figures sharing
-// parameters also share the underlying experiments.
-func (a *artifacts) harness(p figures.Params, cc *engine.Cancel) *figures.Harness {
-	key := harnessKey{messages: p.Messages, k: p.K, simRuns: p.SimRuns, seed: p.Seed}
-	h, _ := a.harnesses.get(cc, key, func() (*figures.Harness, error) {
-		return figures.NewHarness(p), nil
-	})
-	return h
 }

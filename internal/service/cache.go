@@ -8,34 +8,18 @@ import (
 	"repro/internal/engine"
 )
 
-// runFill executes a leader's cache fill, guaranteeing done closes
-// even if the fill panics: the panic is recorded as the entry's error
-// — so waiters fail cleanly instead of hanging on a channel nobody
-// will ever close — and then re-raised for the leader's own recovery
-// middleware. The errored entry self-heals: the next caller observes
-// the error and unpins the slot.
-func runFill(fill func(), errp *error, done chan struct{}) {
-	defer func() {
-		if r := recover(); r != nil {
-			*errp = fmt.Errorf("service: panic during cache fill: %v", r)
-			close(done)
-			panic(r)
-		}
-		close(done)
-	}()
-	fill()
-}
-
-// memoMap is a size-bounded singleflight cache for the per-dataset
-// artifacts. Several key dimensions (delta, enumeration budgets,
-// harness scale) come straight from request parameters, so the map
-// must not grow with the set of distinct values clients send: beyond
-// max entries the least recently used artifact is evicted and rebuilt
-// on its next request (in-flight users keep their reference; the GC
-// reclaims it when the last one drops). The mutex guards only the
-// lookup and recency bookkeeping; computations for distinct keys run
-// in parallel, and an entry evicted mid-computation simply finishes
-// for its waiters.
+// memoMap is a size-bounded singleflight LRU. The server keeps one for
+// memoized results (marshaled response bytes keyed by canonical
+// request) and one per artifact kind (graphs, enumerators, sweeps).
+// Several key dimensions (delta, enumeration budgets) come straight
+// from request parameters, so the map must not grow with the set of
+// distinct values clients send: beyond max entries the least recently
+// used entry is evicted and recomputed on its next request (in-flight
+// users keep their reference; the GC reclaims it when the last one
+// drops). The mutex guards only the lookup, recency bookkeeping and
+// counters; computations for distinct keys run in parallel, and an
+// entry evicted mid-computation simply finishes for its waiters.
+// Values must be immutable once returned.
 //
 // Singleflight is a done channel rather than a sync.Once so waiters
 // can respect their own cancellation token: the entry's creator (the
@@ -45,9 +29,11 @@ func runFill(fill func(), errp *error, done chan struct{}) {
 // its request deadline fires or its client disconnects.
 type memoMap[K comparable, V any] struct {
 	mu    sync.Mutex
-	max   int        // entry bound; <= 0 means unbounded
+	max   int        // entry bound; <= 0 means compute on every call
 	order *list.List // front = most recently used; values are *memoEntry[K, V]
 	byKey map[K]*list.Element
+
+	hits, misses int64
 }
 
 type memoEntry[K comparable, V any] struct {
@@ -65,19 +51,25 @@ func newMemoMap[K comparable, V any](max int) *memoMap[K, V] {
 // The first caller for an uncached key computes f with its own token
 // live inside; later callers block on that computation via cc.Wait and
 // return their own *engine.CanceledError if cc fires first. Errors are
-// not pinned: a failed slot is dropped so the next request retries.
+// not pinned: the leader drops a failed entry before publishing it, so
+// the next request recomputes.
 func (c *memoMap[K, V]) get(cc *engine.Cancel, k K, f func() (V, error)) (V, error) {
+	if c.max <= 0 {
+		return f()
+	}
 	c.mu.Lock()
 	var e *memoEntry[K, V]
 	leader := false
 	if el, ok := c.byKey[k]; ok {
 		c.order.MoveToFront(el)
+		c.hits++
 		e = el.Value.(*memoEntry[K, V])
 	} else {
+		c.misses++
 		e = &memoEntry[K, V]{key: k, done: make(chan struct{})}
 		c.byKey[k] = c.order.PushFront(e)
 		leader = true
-		for c.max > 0 && c.order.Len() > c.max {
+		for c.order.Len() > c.max {
 			back := c.order.Back()
 			c.order.Remove(back)
 			delete(c.byKey, back.Value.(*memoEntry[K, V]).key)
@@ -86,102 +78,45 @@ func (c *memoMap[K, V]) get(cc *engine.Cancel, k K, f func() (V, error)) (V, err
 	c.mu.Unlock()
 
 	if leader {
-		runFill(func() { e.val, e.err = f() }, &e.err, e.done)
+		c.fill(e, f)
 	} else if err := cc.Wait(e.done); err != nil {
 		var zero V
 		return zero, err
 	}
-	if e.err != nil {
-		// Don't pin failures: a later call may succeed (e.g. a
-		// transient build error, or a build the leader abandoned at a
-		// cancellation checkpoint), and errored slots would otherwise
-		// occupy the map until evicted.
-		c.mu.Lock()
-		if cur, ok := c.byKey[k]; ok && cur.Value.(*memoEntry[K, V]) == e {
-			c.order.Remove(cur)
-			delete(c.byKey, k)
-		}
-		c.mu.Unlock()
-	}
 	return e.val, e.err
 }
 
-// lruCache is a size-bounded LRU with singleflight semantics: Get
-// returns the cached value for key, or computes it exactly once even
-// under concurrent requests for the same key. Values must be immutable
-// once returned (the serving layer stores marshaled response bytes).
-// Entries evicted while still being computed simply finish for their
-// waiters and are recomputed on the next request. Waiters joining an
-// in-progress computation respect their own cancellation token, same
-// discipline as memoMap.
-type lruCache struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recently used; values are *lruEntry
-	byKey map[string]*list.Element
-
-	hits, misses int64
-}
-
-type lruEntry struct {
-	key  string
-	done chan struct{} // closed once val/err are set
-	val  []byte
-	err  error
-}
-
-// newLRUCache returns an LRU holding at most max entries; max <= 0
-// disables caching (every Get computes).
-func newLRUCache(max int) *lruCache {
-	return &lruCache{max: max, order: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-// Get returns the value for key, computing it via f on a miss. The
-// computation runs outside the cache lock; concurrent callers for the
-// same key share one computation, each waiting under its own token.
-// Errors are not cached.
-func (c *lruCache) Get(cc *engine.Cancel, key string, f func() ([]byte, error)) ([]byte, error) {
-	if c.max <= 0 {
-		return f()
-	}
-	c.mu.Lock()
-	var e *lruEntry
-	leader := false
-	if el, ok := c.byKey[key]; ok {
-		c.order.MoveToFront(el)
-		c.hits++
-		e = el.Value.(*lruEntry)
-	} else {
-		c.misses++
-		e = &lruEntry{key: key, done: make(chan struct{})}
-		c.byKey[key] = c.order.PushFront(e)
-		leader = true
-		for c.order.Len() > c.max {
-			back := c.order.Back()
-			c.order.Remove(back)
-			delete(c.byKey, back.Value.(*lruEntry).key)
+// fill runs the leader's computation and publishes it by closing done,
+// even if f panics: the panic becomes the entry's error, so waiters
+// fail cleanly instead of hanging on a channel nobody will close, and
+// is then re-raised for the leader's own recovery middleware. A failed
+// entry (a transient build error, a build the leader abandoned at a
+// cancellation checkpoint, or a panic) is dropped before done closes,
+// so no later caller can join it.
+func (c *memoMap[K, V]) fill(e *memoEntry[K, V], f func() (V, error)) {
+	defer func() {
+		r := recover()
+		if r != nil {
+			e.err = fmt.Errorf("service: panic during cache fill: %v", r)
 		}
-	}
-	c.mu.Unlock()
-
-	if leader {
-		runFill(func() { e.val, e.err = f() }, &e.err, e.done)
-	} else if err := cc.Wait(e.done); err != nil {
-		return nil, err
-	}
-	if e.err != nil {
-		c.mu.Lock()
-		if cur, ok := c.byKey[key]; ok && cur.Value.(*lruEntry) == e {
-			c.order.Remove(cur)
-			delete(c.byKey, key)
+		if e.err != nil {
+			c.mu.Lock()
+			if cur, ok := c.byKey[e.key]; ok && cur.Value.(*memoEntry[K, V]) == e {
+				c.order.Remove(cur)
+				delete(c.byKey, e.key)
+			}
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
-	}
-	return e.val, e.err
+		close(e.done)
+		if r != nil {
+			panic(r)
+		}
+	}()
+	e.val, e.err = f()
 }
 
-// Stats returns the hit/miss counters and current entry count.
-func (c *lruCache) Stats() (hits, misses int64, entries int) {
+// stats returns the hit/miss counters and current entry count.
+func (c *memoMap[K, V]) stats() (hits, misses int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.order.Len()

@@ -9,11 +9,11 @@ import (
 )
 
 func TestLRUCachesAndEvicts(t *testing.T) {
-	c := newLRUCache(2)
+	c := newMemoMap[string, []byte](2)
 	var builds atomic.Int64
 	get := func(key string) []byte {
 		t.Helper()
-		v, err := c.Get(nil, key, func() ([]byte, error) {
+		v, err := c.get(nil, key, func() ([]byte, error) {
 			builds.Add(1)
 			return []byte(key), nil
 		})
@@ -38,7 +38,7 @@ func TestLRUCachesAndEvicts(t *testing.T) {
 	if n := builds.Load(); n != 4 {
 		t.Fatalf("builds = %d, want 4", n)
 	}
-	hits, misses, entries := c.Stats()
+	hits, misses, entries := c.stats()
 	if entries != 2 {
 		t.Errorf("entries = %d, want 2", entries)
 	}
@@ -48,7 +48,7 @@ func TestLRUCachesAndEvicts(t *testing.T) {
 }
 
 func TestLRUSingleflight(t *testing.T) {
-	c := newLRUCache(8)
+	c := newMemoMap[string, []byte](8)
 	var builds atomic.Int64
 	release := make(chan struct{})
 	const goroutines = 12
@@ -58,7 +58,7 @@ func TestLRUSingleflight(t *testing.T) {
 	for i := 0; i < goroutines; i++ {
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.Get(nil, "key", func() ([]byte, error) {
+			v, err := c.get(nil, "key", func() ([]byte, error) {
 				builds.Add(1)
 				<-release
 				return []byte("value"), nil
@@ -82,11 +82,11 @@ func TestLRUSingleflight(t *testing.T) {
 }
 
 func TestLRUErrorsNotCached(t *testing.T) {
-	c := newLRUCache(8)
+	c := newMemoMap[string, []byte](8)
 	calls := 0
 	boom := errors.New("boom")
 	for i := 0; i < 3; i++ {
-		_, err := c.Get(nil, "key", func() ([]byte, error) {
+		_, err := c.get(nil, "key", func() ([]byte, error) {
 			calls++
 			if calls < 3 {
 				return nil, boom
@@ -106,10 +106,10 @@ func TestLRUErrorsNotCached(t *testing.T) {
 }
 
 func TestLRUDisabled(t *testing.T) {
-	c := newLRUCache(-1)
+	c := newMemoMap[string, []byte](-1)
 	calls := 0
 	for i := 0; i < 3; i++ {
-		if _, err := c.Get(nil, "k", func() ([]byte, error) { calls++; return nil, nil }); err != nil {
+		if _, err := c.get(nil, "k", func() ([]byte, error) { calls++; return nil, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,5 +179,26 @@ func TestMemoMapBounded(t *testing.T) {
 	}
 	if n := m.order.Len(); n != 2 {
 		t.Errorf("entries = %d, want 2 (bound held)", n)
+	}
+}
+
+// TestMemoMapPanicNotPinned: a fill that panics re-raises on its
+// leader, and the entry it leaves behind is dropped before anyone can
+// join it, so the next get for the key recomputes instead of returning
+// the panic as a stale error.
+func TestMemoMapPanicNotPinned(t *testing.T) {
+	m := newMemoMap[string, []byte](8)
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("leader recovered %v, want the fill's panic", r)
+			}
+		}()
+		m.get(nil, "key", func() ([]byte, error) { panic("boom") })
+	}()
+	calls := 0
+	v, err := m.get(nil, "key", func() ([]byte, error) { calls++; return []byte("ok"), nil })
+	if err != nil || string(v) != "ok" || calls != 1 {
+		t.Fatalf("get after a panicked fill = %q/%v with %d calls, want a recomputed \"ok\"", v, err, calls)
 	}
 }

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"repro/internal/dtnsim"
@@ -88,10 +86,6 @@ type EnumerateRequest struct {
 	K           int     `json:"k,omitempty"`
 	TableWidth  int     `json:"tableWidth,omitempty"`
 	MaxArrivals int     `json:"maxArrivals,omitempty"`
-	// Workers caps the engine goroutines for batch enumeration; zero
-	// means the server's default. Results are byte-identical for every
-	// value.
-	Workers int `json:"workers,omitempty"`
 }
 
 // PathJSON is one valid space-time path: the node sequence from source
@@ -144,14 +138,13 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request, ri *req
 		K:           req.K,
 		TableWidth:  req.TableWidth,
 		MaxArrivals: req.MaxArrivals,
-		Workers:     s.workers(req.Workers),
 	}.Normalized()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	key := enumerateKey(req.Dataset, msgs, opt)
-	data, err := s.results.Get(&ri.cancel, key, func() ([]byte, error) {
+	data, err := s.results.get(&ri.cancel, key, func() ([]byte, error) {
 		resp, err := s.enumerate(req.Dataset, msgs, opt, &ri.obs, &ri.cancel)
 		if err != nil {
 			return nil, err
@@ -176,6 +169,18 @@ const maxBatchMessages = 4096
 // single request. It sits far above any graph the paper or the city
 // datasets need (city-4k at Δ 5 s has 8,640 steps).
 const maxGraphSteps = 1 << 20
+
+// maxEnumBudget caps k and tableWidth, maxEnumArrivals caps
+// maxArrivals, and maxBatchArrivals caps messages × maxArrivals for one
+// /enumerate request. Each drives the request's allocation and body
+// size, so without them one request could hold gigabytes until its
+// deadline. They sit at the paper's K, its 4·K arrival default, and 32
+// paper-scale messages; larger studies split into several requests.
+const (
+	maxEnumBudget    = 2000
+	maxEnumArrivals  = 4 * maxEnumBudget
+	maxBatchArrivals = 32 * maxEnumArrivals
+)
 
 // enumerateMessages resolves the single/batch request forms.
 func enumerateMessages(req EnumerateRequest) ([]pathenum.Message, error) {
@@ -208,8 +213,7 @@ func enumerateMessages(req EnumerateRequest) ([]pathenum.Message, error) {
 // enumerateKey canonicalizes an enumeration request for the result
 // cache. opt must already be normalized (Options.Normalized), so
 // requests spelling the same work differently share one entry without
-// this function re-deriving the library defaults. Workers is excluded
-// — results are byte-identical for every worker count.
+// this function re-deriving the library defaults.
 func enumerateKey(dataset string, msgs []pathenum.Message, opt pathenum.Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "enumerate|%s|d=%g|k=%d|tw=%d|ma=%d", dataset, opt.Delta, opt.K, opt.TableWidth, opt.MaxArrivals)
@@ -222,7 +226,8 @@ func enumerateKey(dataset string, msgs []pathenum.Message, opt pathenum.Options)
 // Enumerate runs the library path enumeration for msgs on a registered
 // dataset and shapes the response. It is the exact computation behind
 // POST /enumerate, exported so clients and the served-equivalence
-// suite can compare byte-for-byte.
+// suite can compare byte-for-byte. It runs on the server's Workers:
+// opt.Workers is ignored.
 func (s *Server) Enumerate(dataset string, msgs []pathenum.Message, opt pathenum.Options) (*EnumerateResponse, error) {
 	return s.enumerate(dataset, msgs, opt, nil, nil)
 }
@@ -231,9 +236,21 @@ func (s *Server) Enumerate(dataset string, msgs []pathenum.Message, opt pathenum
 // request's cancellation token threaded through the artifact pipeline
 // and the enumeration dynamic program (both nil-safe).
 func (s *Server) enumerate(dataset string, msgs []pathenum.Message, opt pathenum.Options, ot *obs.Trace, cc *engine.Cancel) (*EnumerateResponse, error) {
+	opt.Workers = s.cfg.Workers
 	opt, err := opt.Normalized()
 	if err != nil {
 		return nil, &badRequestError{err: err}
+	}
+	switch {
+	case opt.K > maxEnumBudget:
+		return nil, badRequest("k %d exceeds the %d limit", opt.K, maxEnumBudget)
+	case opt.TableWidth > maxEnumBudget:
+		return nil, badRequest("tableWidth %d exceeds the %d limit", opt.TableWidth, maxEnumBudget)
+	case opt.MaxArrivals > maxEnumArrivals:
+		return nil, badRequest("maxArrivals %d exceeds the %d limit", opt.MaxArrivals, maxEnumArrivals)
+	case len(msgs)*opt.MaxArrivals > maxBatchArrivals:
+		return nil, badRequest("%d messages × maxArrivals %d exceeds the %d-arrival batch limit",
+			len(msgs), opt.MaxArrivals, maxBatchArrivals)
 	}
 	tr, err := s.art.reg.traceCancel(dataset, cc)
 	if err != nil {
@@ -315,7 +332,6 @@ type SimulateRequest struct {
 	GenFraction float64 `json:"genFraction,omitempty"` // workload window fraction; default 2/3
 	Runs        int     `json:"runs,omitempty"`        // default 1
 	Seed        int64   `json:"seed,omitempty"`        // default 1
-	Workers     int     `json:"workers,omitempty"`     // 0 = server default
 }
 
 // SimulateResponse is the /simulate body: the paper's delivery
@@ -367,7 +383,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, ri *reqI
 	ri.dataset = req.Dataset
 	req.withDefaults()
 	key := simulateKey(req)
-	data, err := s.results.Get(&ri.cancel, key, func() ([]byte, error) {
+	data, err := s.results.get(&ri.cancel, key, func() ([]byte, error) {
 		resp, err := s.simulate(req, &ri.obs, &ri.cancel)
 		if err != nil {
 			return nil, err
@@ -394,8 +410,7 @@ const (
 )
 
 // simulateKey canonicalizes a simulation request (defaults already
-// applied). Workers is excluded: results are byte-identical for every
-// worker count.
+// applied).
 func simulateKey(req SimulateRequest) string {
 	alg, ok := AlgorithmByName(req.Algorithm)
 	name := req.Algorithm
@@ -408,7 +423,8 @@ func simulateKey(req SimulateRequest) string {
 
 // Simulate runs the library forwarding simulation behind POST
 // /simulate: Runs workloads with per-run seeds split from Seed, merged
-// in run order. Exported for clients and the served-equivalence suite.
+// in run order, on the server's Workers. Exported for clients and the
+// served-equivalence suite.
 func (s *Server) Simulate(req SimulateRequest) (*SimulateResponse, error) {
 	return s.simulate(req, nil, nil)
 }
@@ -457,7 +473,7 @@ func (s *Server) simulate(req SimulateRequest, ot *obs.Trace, cc *engine.Cancel)
 			Algorithm: alg,
 			Messages:  msgs,
 			CopyMode:  mode,
-			Workers:   s.workers(req.Workers),
+			Workers:   s.cfg.Workers,
 			Cancel:    cc,
 		})
 		sp.End()
@@ -530,7 +546,7 @@ func AlgorithmByName(name string) (forward.Algorithm, bool) {
 	return nil, false
 }
 
-// --- GET /figures, GET /figures/{id}/data ---
+// --- GET /figures ---
 
 // FigureInfo describes one renderable figure.
 type FigureInfo struct {
@@ -550,122 +566,4 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request, ri *reqIn
 		resp.Figures[i] = FigureInfo{ID: f.ID, Title: f.Title}
 	}
 	writeJSON(w, resp)
-}
-
-// FigureParamsJSON is the harness scale reachable over HTTP (query
-// parameters messages, k, runs, seed). Zero values mean the harness's
-// paper-scale defaults.
-type FigureParamsJSON struct {
-	Messages int   `json:"messages"`
-	K        int   `json:"k"`
-	SimRuns  int   `json:"simRuns"`
-	Seed     int64 `json:"seed"`
-}
-
-// FigureDataResponse is the /figures/{id}/data body: the figure's
-// rendered rows/series as text, exactly as psn-figures prints them.
-type FigureDataResponse struct {
-	ID     string           `json:"id"`
-	Title  string           `json:"title"`
-	Params FigureParamsJSON `json:"params"`
-	Data   string           `json:"data"`
-}
-
-func (s *Server) handleFigureData(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-	id := r.PathValue("id")
-	f, ok := figures.Lookup(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown figure %q", id))
-		return
-	}
-	var p FigureParamsJSON
-	var err error
-	if p.Messages, err = queryInt(r, "messages"); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if p.K, err = queryInt(r, "k"); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if p.SimRuns, err = queryInt(r, "runs"); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	seed, err := queryInt(r, "seed")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	p.Seed = int64(seed)
-
-	key := fmt.Sprintf("figure|%s|m=%d|k=%d|r=%d|s=%d", f.ID, p.Messages, p.K, p.SimRuns, p.Seed)
-	data, err := s.results.Get(&ri.cancel, key, func() ([]byte, error) {
-		resp, err := s.figureData(f.ID, p, &ri.cancel)
-		if err != nil {
-			return nil, err
-		}
-		return marshalResponse(resp)
-	})
-	if err != nil {
-		s.writeHandlerError(w, ri, err)
-		return
-	}
-	writeRaw(w, data)
-}
-
-// figureData renders one figure at the given scale — the computation
-// behind GET /figures/{id}/data. Harnesses are cached per parameter
-// set, so figures sharing parameters share studies and simulation
-// sweeps. The request's cancellation token is honored while joining
-// another request's in-flight harness build. The figure harness itself
-// memoizes whole studies and runs them to completion — its results are
-// shared across every figure and request for the parameter set, so one
-// request's deadline must not abandon them — which makes the token a
-// wait-side courtesy here rather than a compute-side one.
-func (s *Server) figureData(id string, p FigureParamsJSON, cc *engine.Cancel) (*FigureDataResponse, error) {
-	f, ok := figures.Lookup(id)
-	if !ok {
-		return nil, badRequest("unknown figure %q", id)
-	}
-	if p.Messages < 0 || p.K < 0 || p.SimRuns < 0 {
-		return nil, badRequest("negative figure parameters")
-	}
-	h := s.art.harness(figures.Params{
-		Messages: p.Messages,
-		K:        p.K,
-		SimRuns:  p.SimRuns,
-		Seed:     p.Seed,
-		Workers:  s.cfg.Workers,
-	}, cc)
-	var buf bytes.Buffer
-	if err := h.RenderOne(f, &buf); err != nil {
-		return nil, err
-	}
-	return &FigureDataResponse{ID: f.ID, Title: f.Title, Params: p, Data: buf.String()}, nil
-}
-
-// workers resolves a request-level workers override against the
-// server's own worker count, which is also its ceiling: each
-// simulation shard and enumeration worker holds scratch of its own, so
-// a request must not choose how many exist. Results are byte-identical
-// for every worker count, so the clamp changes no reply.
-func (s *Server) workers(reqWorkers int) int {
-	ceiling := engine.Workers(s.cfg.Workers)
-	if reqWorkers > 0 && reqWorkers < ceiling {
-		return reqWorkers
-	}
-	return ceiling
-}
-
-func queryInt(r *http.Request, name string) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, badRequest("bad query parameter %s=%q", name, v)
-	}
-	return n, nil
 }

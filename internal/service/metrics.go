@@ -116,7 +116,7 @@ func (m *metrics) countStatus(code int) {
 
 // write emits the Prometheus text exposition. cache supplies the
 // result-cache counters, reg the degraded-dataset gauge.
-func (m *metrics) write(w io.Writer, cache *lruCache, reg *Registry) {
+func (m *metrics) write(w io.Writer, cache *memoMap[string, []byte], reg *Registry) {
 	fmt.Fprintf(w, "# HELP psn_requests_total Requests received, by endpoint.\n")
 	fmt.Fprintf(w, "# TYPE psn_requests_total counter\n")
 	m.mu.Lock()
@@ -162,7 +162,7 @@ func (m *metrics) write(w io.Writer, cache *lruCache, reg *Registry) {
 		fmt.Fprintf(w, "psn_cancelled_total{reason=%q} %d\n", name, m.cancelledBy[i].Load())
 	}
 
-	hits, misses, entries := cache.Stats()
+	hits, misses, entries := cache.stats()
 	fmt.Fprintf(w, "# HELP psn_result_cache_hits_total Result-cache hits.\n")
 	fmt.Fprintf(w, "# TYPE psn_result_cache_hits_total counter\n")
 	fmt.Fprintf(w, "psn_result_cache_hits_total %d\n", hits)

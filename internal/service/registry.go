@@ -1,7 +1,7 @@
 // Package service is the HTTP serving layer of the reproduction: it
-// exposes the repository's experiments — path enumeration, forwarding
-// simulation, figure regeneration — as JSON endpoints over a dataset
-// registry and a cache of per-dataset artifacts.
+// exposes the repository's experiments — path enumeration and
+// forwarding simulation — as JSON endpoints over a dataset registry
+// and a cache of per-dataset artifacts.
 //
 // The paper's experiments are pure queries over immutable per-dataset
 // inputs (the contact trace, the indexed space-time graph, the

@@ -133,7 +133,7 @@ func TestRequestDeadlineSheds(t *testing.T) {
 	if err := <-held; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Enumerate("gated", []pathenum.Message{{Src: 0, Dst: 17}}, pathenum.Options{K: 50, Workers: s.workers(0)}); err != nil {
+	if _, err := s.Enumerate("gated", []pathenum.Message{{Src: 0, Dst: 17}}, pathenum.Options{K: 50}); err != nil {
 		t.Fatal(err)
 	}
 	code, _ := post(t, ts.URL+"/enumerate", gatedBody)
@@ -197,7 +197,11 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 		t.Errorf("psn_panics_total = %d, want 1", got)
 	}
 
-	// The process survived and the next request works.
+	// The panicked fill left nothing pinned: the same request now
+	// recomputes and succeeds, and so does another one.
+	if code, body := post(t, ts.URL+"/enumerate", panickyBody); code != http.StatusOK {
+		t.Fatalf("request repeated after panic: status %d (%s), want 200", code, body)
+	}
 	if code, _ := post(t, ts.URL+"/enumerate", enumBody); code != http.StatusOK {
 		t.Fatalf("request after panic: status %d, want 200", code)
 	}

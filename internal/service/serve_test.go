@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -96,7 +95,7 @@ func TestServedEnumerateEquivalence(t *testing.T) {
 			},
 			opt: pathenum.Options{K: 40, TableWidth: 8},
 			body: `{"dataset":"dev","messages":[{"src":1,"dst":9,"start":120},{"src":5,"dst":2,"start":300.5},{"src":20,"dst":3,"start":0}],` +
-				`"k":40,"tableWidth":8,"workers":2}`,
+				`"k":40,"tableWidth":8}`,
 		},
 		{
 			dataset: "infocom-3-6",
@@ -203,7 +202,6 @@ func directSimulate(t *testing.T, reg *Registry, req SimulateRequest) *SimulateR
 	t.Helper()
 	req.withDefaults()
 	srv := New(Config{Registry: reg, Workers: 1, CacheSize: -1})
-	req.Workers = 1
 	resp, err := srv.Simulate(req)
 	if err != nil {
 		t.Fatal(err)
@@ -298,22 +296,6 @@ func TestSimulateLimits(t *testing.T) {
 	}
 }
 
-// TestRequestWorkersClampedToServer: a request may lower the server's
-// worker count but never raise it, since each worker holds scratch of
-// its own.
-func TestRequestWorkersClampedToServer(t *testing.T) {
-	s := New(Config{Workers: 2})
-	for req, want := range map[int]int{0: 2, -3: 2, 1: 1, 2: 2, 16: 2, 200: 2} {
-		if got := s.workers(req); got != want {
-			t.Errorf("Workers 2 server: request workers %d resolve to %d, want %d", req, got, want)
-		}
-	}
-	s = New(Config{})
-	if got, want := s.workers(1<<20), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("default server: request workers %d resolve to %d, want GOMAXPROCS %d", 1<<20, got, want)
-	}
-}
-
 func TestServedDatasetsAndFiguresLists(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 
@@ -339,41 +321,6 @@ func TestServedDatasetsAndFiguresLists(t *testing.T) {
 	}
 }
 
-// TestServedFigureDataEquivalence renders a cheap figure (F01 needs
-// only the generated traces) over HTTP and directly.
-func TestServedFigureDataEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("renders all four datasets")
-	}
-	_, ts := newTestServer(t, Config{})
-
-	url := ts.URL + "/figures/F01/data?messages=2&k=40&runs=1&seed=3"
-	status, served := get(t, url)
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, served)
-	}
-
-	f, _ := figures.Lookup("F01")
-	h := figures.NewHarness(figures.Params{Messages: 2, K: 40, SimRuns: 1, Seed: 3, Workers: 1})
-	var buf bytes.Buffer
-	if err := h.RenderOne(f, &buf); err != nil {
-		t.Fatal(err)
-	}
-	want := respBytes(t, &FigureDataResponse{
-		ID: f.ID, Title: f.Title,
-		Params: FigureParamsJSON{Messages: 2, K: 40, SimRuns: 1, Seed: 3},
-		Data:   buf.String(),
-	})
-	if !bytes.Equal(served, want) {
-		t.Errorf("served figure data differs from direct render\nserved: %.300s\ndirect: %.300s", served, want)
-	}
-
-	_, again := get(t, url)
-	if !bytes.Equal(served, again) {
-		t.Error("repeat request returned different bytes")
-	}
-}
-
 func TestServedHealthz(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	status, body := get(t, ts.URL+"/healthz")
@@ -386,32 +333,36 @@ func TestServedHealthz(t *testing.T) {
 	}
 }
 
+// servedErrorCases are requests the server must refuse, with the status
+// and a word the error must name. FuzzServeBodies seeds its corpus with
+// their bodies.
+var servedErrorCases = []struct {
+	name, method, path, body string
+	wantStatus               int
+	wantMention              string
+}{
+	{"unknown dataset", "POST", "/enumerate", `{"dataset":"nope","src":0,"dst":1}`, http.StatusNotFound, "available"},
+	{"bad body", "POST", "/enumerate", `{"dataset":`, http.StatusBadRequest, "bad request body"},
+	{"trailing value", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1}{"junk":1}`, http.StatusBadRequest, "after JSON value"},
+	{"trailing garbage", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1} trailing`, http.StatusBadRequest, "after JSON value"},
+	{"trailing on simulate", "POST", "/simulate", `{"dataset":"dev","algorithm":"Epidemic"}[]`, http.StatusBadRequest, "after JSON value"},
+	{"unknown field", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1,"bogus":1}`, http.StatusBadRequest, "bogus"},
+	{"missing endpoints", "POST", "/enumerate", `{"dataset":"dev"}`, http.StatusBadRequest, "missing src/dst"},
+	{"src only", "POST", "/enumerate", `{"dataset":"dev","src":3}`, http.StatusBadRequest, "both"},
+	{"equal endpoints", "POST", "/enumerate", `{"dataset":"dev","src":3,"dst":3}`, http.StatusBadRequest, "source equals destination"},
+	{"both forms", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1,"messages":[{"src":0,"dst":1}]}`, http.StatusBadRequest, "mutually exclusive"},
+	{"negative k", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1,"k":-5}`, http.StatusBadRequest, "negative"},
+	{"negative delta", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1,"delta":-1}`, http.StatusBadRequest, "delta"},
+	{"negative rate", "POST", "/simulate", `{"dataset":"dev","algorithm":"Epidemic","rate":-1}`, http.StatusBadRequest, "negative"},
+	{"unknown algorithm", "POST", "/simulate", `{"dataset":"dev","algorithm":"teleport"}`, http.StatusBadRequest, "Epidemic"},
+	{"unknown copy mode", "POST", "/simulate", `{"dataset":"dev","algorithm":"Epidemic","copyMode":"beam"}`, http.StatusBadRequest, "replicate or relay"},
+	{"no figure data", "GET", "/figures/F01/data", "", http.StatusNotFound, ""},
+	{"wrong method", "GET", "/enumerate", "", http.StatusMethodNotAllowed, ""},
+}
+
 func TestServedErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, tc := range []struct {
-		name, method, path, body string
-		wantStatus               int
-		wantMention              string
-	}{
-		{"unknown dataset", "POST", "/enumerate", `{"dataset":"nope","src":0,"dst":1}`, http.StatusNotFound, "available"},
-		{"bad body", "POST", "/enumerate", `{"dataset":`, http.StatusBadRequest, "bad request body"},
-		{"trailing value", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1}{"junk":1}`, http.StatusBadRequest, "after JSON value"},
-		{"trailing garbage", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1} trailing`, http.StatusBadRequest, "after JSON value"},
-		{"trailing on simulate", "POST", "/simulate", `{"dataset":"dev","algorithm":"Epidemic"}[]`, http.StatusBadRequest, "after JSON value"},
-		{"unknown field", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1,"bogus":1}`, http.StatusBadRequest, "bogus"},
-		{"missing endpoints", "POST", "/enumerate", `{"dataset":"dev"}`, http.StatusBadRequest, "missing src/dst"},
-		{"src only", "POST", "/enumerate", `{"dataset":"dev","src":3}`, http.StatusBadRequest, "both"},
-		{"equal endpoints", "POST", "/enumerate", `{"dataset":"dev","src":3,"dst":3}`, http.StatusBadRequest, "source equals destination"},
-		{"both forms", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1,"messages":[{"src":0,"dst":1}]}`, http.StatusBadRequest, "mutually exclusive"},
-		{"negative k", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1,"k":-5}`, http.StatusBadRequest, "negative"},
-		{"negative delta", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1,"delta":-1}`, http.StatusBadRequest, "delta"},
-		{"negative rate", "POST", "/simulate", `{"dataset":"dev","algorithm":"Epidemic","rate":-1}`, http.StatusBadRequest, "negative"},
-		{"unknown algorithm", "POST", "/simulate", `{"dataset":"dev","algorithm":"teleport"}`, http.StatusBadRequest, "Epidemic"},
-		{"unknown copy mode", "POST", "/simulate", `{"dataset":"dev","algorithm":"Epidemic","copyMode":"beam"}`, http.StatusBadRequest, "replicate or relay"},
-		{"unknown figure", "GET", "/figures/F99/data", "", http.StatusNotFound, "unknown figure"},
-		{"bad figure param", "GET", "/figures/F01/data?messages=x", "", http.StatusBadRequest, "messages"},
-		{"wrong method", "GET", "/enumerate", "", http.StatusMethodNotAllowed, ""},
-	} {
+	for _, tc := range servedErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			var status int
 			var body []byte
@@ -454,8 +405,10 @@ func TestCountingWriterUnwrapFlush(t *testing.T) {
 }
 
 // TestServedRequestLimits pins the request-size guards: bodies beyond
-// maxBodyBytes are rejected with 413 before being decoded, and batches
-// beyond maxBatchMessages with 400 before being enumerated.
+// maxBodyBytes are rejected with 413 before being decoded, batches
+// beyond maxBatchMessages with 400 before being enumerated, and budgets
+// beyond maxEnumBudget, maxEnumArrivals or maxBatchArrivals with 400
+// naming the limit, before anything is built.
 func TestServedRequestLimits(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -485,6 +438,34 @@ func TestServedRequestLimits(t *testing.T) {
 	}
 	if !bytes.Contains(body, []byte("message limit")) {
 		t.Errorf("oversized batch error does not mention the limit: %s", body)
+	}
+
+	for name, body := range budgetRefusals() {
+		status, out := post(t, ts.URL+"/enumerate", body)
+		if status != http.StatusBadRequest || !bytes.Contains(out, []byte("limit")) {
+			t.Errorf("%s over its limit: status %d (%s), want 400 naming the limit", name, status, out)
+		}
+	}
+}
+
+// budgetRefusals maps each /enumerate budget limit to a body just over
+// it and within every other limit. FuzzServeBodies seeds its corpus
+// with them.
+func budgetRefusals() map[string]string {
+	var batch strings.Builder
+	batch.WriteString(`{"dataset":"dev","messages":[`)
+	for i := 0; i <= maxBatchArrivals/maxEnumArrivals; i++ {
+		if i > 0 {
+			batch.WriteByte(',')
+		}
+		batch.WriteString(`{"src":0,"dst":1}`)
+	}
+	fmt.Fprintf(&batch, `],"k":10,"maxArrivals":%d}`, maxEnumArrivals)
+	return map[string]string{
+		"k":              fmt.Sprintf(`{"dataset":"dev","src":0,"dst":17,"k":%d}`, maxEnumBudget+1),
+		"tableWidth":     fmt.Sprintf(`{"dataset":"dev","src":0,"dst":17,"k":10,"tableWidth":%d}`, maxEnumBudget+1),
+		"maxArrivals":    fmt.Sprintf(`{"dataset":"dev","src":0,"dst":17,"k":10,"maxArrivals":%d}`, maxEnumArrivals+1),
+		"batch arrivals": batch.String(),
 	}
 }
 
@@ -744,5 +725,22 @@ func TestEnumeratorGraphSharing(t *testing.T) {
 	}
 	if a != c {
 		t.Error("same budget did not return the cached enumerator")
+	}
+}
+
+// TestDirectAndServedShareEnumerator: a direct Enumerate call and a
+// served request with the same budget both run on the server's Workers,
+// so they share one cached enumerator, and warming a server through
+// Enumerate warms what its traffic uses.
+func TestDirectAndServedShareEnumerator(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if _, err := s.Enumerate("dev", []pathenum.Message{{Src: 0, Dst: 1}}, pathenum.Options{K: 50}); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := post(t, ts.URL+"/enumerate", enumBody); code != http.StatusOK {
+		t.Fatalf("served request: status %d (%s)", code, body)
+	}
+	if n := s.art.enums.order.Len(); n != 1 {
+		t.Errorf("%d enumerators cached, want 1 shared by the direct call and the served request", n)
 	}
 }

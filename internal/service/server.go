@@ -27,10 +27,9 @@ type Config struct {
 	// (the built-in synthetic datasets).
 	Registry *Registry
 
-	// Workers is the default engine worker count for experiment
-	// requests, and their ceiling: a request may lower it but not
-	// raise it (results are byte-identical either way). Zero means
-	// runtime.GOMAXPROCS(0).
+	// Workers is the engine worker count every experiment runs on,
+	// served or called directly (Enumerate, Simulate); results are
+	// byte-identical for every value. Zero means runtime.GOMAXPROCS(0).
 	Workers int
 
 	// MaxInflight bounds the experiment requests executing
@@ -44,7 +43,7 @@ type Config struct {
 
 	// CacheSize bounds the memoized-result LRU (marshaled response
 	// bytes keyed by canonical request). Zero means 256 entries;
-	// negative disables response caching.
+	// negative disables response caching (every request computes).
 	CacheSize int
 
 	// EnablePprof mounts net/http/pprof under GET /debug/pprof/. The
@@ -102,7 +101,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	art     *artifacts
-	results *lruCache
+	results *memoMap[string, []byte]
 	metrics *metrics
 	sem     chan struct{} // in-flight experiment semaphore; nil = unlimited
 	mux     *http.ServeMux
@@ -143,7 +142,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		art:     newArtifacts(cfg.Registry),
-		results: newLRUCache(cfg.CacheSize),
+		results: newMemoMap[string, []byte](cfg.CacheSize),
 		metrics: newMetrics(),
 		idTag:   mathrand.Uint64() << 32,
 	}
@@ -160,7 +159,6 @@ func New(cfg Config) *Server {
 	// Experiment endpoints run under the in-flight limit.
 	s.mux.HandleFunc("POST /enumerate", s.limited("enumerate", s.handleEnumerate))
 	s.mux.HandleFunc("POST /simulate", s.limited("simulate", s.handleSimulate))
-	s.mux.HandleFunc("GET /figures/{id}/data", s.limited("figure_data", s.handleFigureData))
 	if cfg.EnablePprof {
 		// pprof rides outside count()/limited(): no accounting, no
 		// shedding — a profile request must not perturb the metrics it

@@ -16,19 +16,13 @@
 //   - the experiment harness that regenerates every figure of the
 //     paper's evaluation (NewFigureHarness, Figures, …);
 //   - the HTTP serving layer: a dataset registry plus a server that
-//     exposes enumeration, simulation and figure data as JSON
-//     endpoints over cached per-dataset artifacts (NewRegistry,
-//     NewServer; see cmd/psn-serve);
-//   - allocation-free observability primitives: lock-free log-bucketed
-//     latency histograms and per-request stage-span traces, threaded
-//     through the serving layer onto /metrics (LatencyHistogram,
-//     StageTrace; see cmd/psn-load and the README's Observability
-//     section);
-//   - the resilience layer: cooperative request cancellation
-//     (deadlines and client disconnects abandon compute at amortized
-//     checkpoints — CanceledError, IsCanceled), panic isolation, and
-//     degraded mode for file-backed datasets whose file fails to load
-//     repeatedly (DegradedError); see the README's Resilience section.
+//     exposes enumeration and simulation as JSON endpoints over cached
+//     per-dataset artifacts (NewRegistry, NewServer; see
+//     cmd/psn-serve), with latency histograms and stage spans on
+//     /metrics (see the README's Observability section), request
+//     deadlines, panic isolation, and degraded mode for file-backed
+//     datasets whose file fails to load repeatedly (DegradedError; see
+//     the README's Resilience section).
 //
 // # Concurrency and determinism
 //
@@ -86,7 +80,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/figures"
 	"repro/internal/forward"
-	"repro/internal/obs"
 	"repro/internal/pathenum"
 	"repro/internal/service"
 	"repro/internal/stgraph"
@@ -365,17 +358,6 @@ func NewServer(cfg ServeConfig) *Server { return service.New(cfg) }
 
 // Resilience.
 
-// CanceledError reports that a computation stopped at a cooperative
-// cancellation checkpoint (request deadline or client disconnect)
-// before completing. It unwraps to context.Canceled or
-// context.DeadlineExceeded. Cancellation never changes results: a
-// computation either completes byte-identical to an uncancelled run or
-// abandons with a CanceledError and no result at all.
-type CanceledError = engine.CanceledError
-
-// IsCanceled reports whether err is (or wraps) a CanceledError.
-func IsCanceled(err error) bool { return engine.IsCanceled(err) }
-
 // DegradedError is the serving layer's answer while a file-backed
 // dataset is in a load-failure backoff window: repeated failures to
 // load the dataset's file trip it into degraded mode, requests naming
@@ -383,43 +365,3 @@ func IsCanceled(err error) bool { return engine.IsCanceled(err) }
 // growing, jittered) window, and a probe load after each window
 // restores service on success.
 type DegradedError = service.DegradedError
-
-// Observability.
-type (
-	// LatencyHistogram is a lock-free log-bucketed latency histogram:
-	// 64 fixed buckets at 2^(1/3) spacing (three per doubling) from
-	// 1µs to ~1.7s plus an overflow bucket. Record is wait-free and
-	// allocation-free; histograms merge and render in Prometheus text
-	// format. The serving layer keeps one per endpoint and one per
-	// stage on /metrics.
-	LatencyHistogram = obs.Histogram
-	// LatencySnapshot is an immutable copy of a LatencyHistogram with
-	// quantile extraction (p50/p90/p99, capped at the observed max).
-	LatencySnapshot = obs.Snapshot
-	// StageTrace accumulates one request's time per instrumented
-	// pipeline stage (graph sweep/frames, enumeration prefix/fork,
-	// oracle build, simulation run). A nil *StageTrace is
-	// fully inert, so instrumented code paths cost one pointer check
-	// when tracing is off.
-	StageTrace = obs.Trace
-	// StageSpan is an open span on a StageTrace; End adds the elapsed
-	// time to its stage.
-	StageSpan = obs.Span
-	// PipelineStage identifies one instrumented stage of the request
-	// pipeline.
-	PipelineStage = obs.Stage
-)
-
-// Instrumented pipeline stages, in pipeline order.
-const (
-	StageGraphSweep  = obs.StageGraphSweep
-	StageGraphFrames = obs.StageGraphFrames
-	StageEnumPrefix  = obs.StageEnumPrefix
-	StageEnumFork    = obs.StageEnumFork
-	StageOracleBuild = obs.StageOracleBuild
-	StageSimRun      = obs.StageSimRun
-)
-
-// StageNames lists the instrumented stage names in stage order, as
-// they appear in /metrics stage labels and slow-request log lines.
-func StageNames() [obs.NumStages]string { return obs.StageNames() }
