@@ -15,9 +15,10 @@ const (
 	// or row slab churn while staying ~4.5x above normal.
 	conferenceMessageBytesBudget = 64 << 20
 
-	// EnumerateBatchSharedPrefix runs 16 forked continuations off one
-	// shared prefix, recycling one fork scratch across them; measured
-	// ~22 MB/op. The 64 MB budget bounds the per-batch transient — a
+	// EnumerateBatchSharedPrefix runs 16 continuations off one shared
+	// prefix: 15 forks, recycling one fork scratch across them, and
+	// the base itself, which the last destination continues on;
+	// measured ~22 MB/op. The 64 MB budget bounds the per-batch transient — a
 	// breach means the fork recycling broke and every destination is
 	// paying a full enumeration's scratch again.
 	batchSharedPrefixBytesBudget = 64 << 20

@@ -72,14 +72,13 @@ type Config struct {
 	Messages  []Message
 	CopyMode  CopyMode
 
-	// Workers caps the number of goroutines evaluating messages
-	// concurrently. Zero means runtime.GOMAXPROCS(0); 1 forces a
-	// serial run. Messages are independent (infinite buffers, zero
+	// Workers caps the number of shards replaying the contact stream
+	// concurrently, at most one per message. Zero means
+	// runtime.GOMAXPROCS(0); 1 runs one shard on the calling
+	// goroutine. Messages are independent (infinite buffers, zero
 	// transmission time), so the per-message outcomes — and the
-	// aggregate Result — are byte-identical for every worker count.
-	// Algorithms with mutable state parallelize only if they implement
-	// forward.Cloner (each worker replays the full contact stream into
-	// its own clone); otherwise the run falls back to serial.
+	// aggregate Result — are byte-identical for every worker count;
+	// each shard replays its own clone of a forward.Stateful algorithm.
 	Workers int
 
 	// Cancel optionally threads a cooperative cancellation token
@@ -117,8 +116,8 @@ type Oracle struct {
 	meed     *forward.DistMatrix
 }
 
-// NewOracle precomputes the simulation tables for tr.
-func NewOracle(tr *trace.Trace) *Oracle {
+// newOracle precomputes the simulation tables for tr.
+func newOracle(tr *trace.Trace) *Oracle {
 	return &Oracle{
 		tr:     tr,
 		totals: tr.ContactCounts(),
@@ -153,19 +152,16 @@ type Result struct {
 	Transmissions int
 }
 
-// Run simulates cfg and returns per-message outcomes. Every call
-// derives the read-only trace tables; use a Sweep to amortize them —
-// and the pooled per-worker state — across many runs of one trace.
+// Run simulates cfg and returns per-message outcomes: NewSweep over
+// cfg.Trace, then one Sweep.Run. Every call derives the read-only
+// trace tables; use a Sweep to amortize them — and the pooled
+// per-shard state — across many runs of one trace.
 func Run(cfg Config) (*Result, error) {
-	tr := cfg.Trace
-	if tr == nil {
-		return nil, fmt.Errorf("dtnsim: nil trace")
+	sw, err := NewSweep(cfg.Trace)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Algorithm == nil {
-		return nil, fmt.Errorf("dtnsim: nil algorithm")
-	}
-	sw := &Sweep{tr: tr, oracle: NewOracle(tr)} // transient: nothing pooled survives
-	return sw.run(cfg)
+	return sw.Run(cfg)
 }
 
 // Sweep amortizes shared work across many simulation runs over one
@@ -179,7 +175,8 @@ type Sweep struct {
 	oracle *Oracle
 
 	mu      sync.Mutex
-	pool    []*sim
+	free    *sim // pooled sims, linked through sim.next (no allocation)
+	pooled  int
 	poolCap int
 }
 
@@ -190,7 +187,7 @@ func NewSweep(tr *trace.Trace) (*Sweep, error) {
 	}
 	return &Sweep{
 		tr:      tr,
-		oracle:  NewOracle(tr),
+		oracle:  newOracle(tr),
 		poolCap: max(4, runtime.GOMAXPROCS(0)),
 	}, nil
 }
@@ -203,8 +200,14 @@ func (sw *Sweep) Oracle() *Oracle { return sw.oracle }
 
 // Run simulates one configuration of the sweep's trace. cfg.Trace may
 // be left nil (it defaults to the sweep's); when set it must match the
-// sweep. All other Config semantics are exactly those of the
-// package-level Run.
+// sweep. The messages fan out in strided shards: shard w of W owns
+// messages w, w+W, … Each shard replays the full contact stream into
+// its own pooled View and its own forward.Instance of the algorithm,
+// so every message sees exactly the state an unsharded run would show
+// it; outcomes land at their global index and transmission counts add
+// up. engine.MapWorkers supplies the fan-out, so a shard panic on a
+// worker goroutine is re-raised on this one instead of killing the
+// process; a single shard runs inline.
 func (sw *Sweep) Run(cfg Config) (*Result, error) {
 	if cfg.Trace != nil && cfg.Trace != sw.tr {
 		return nil, fmt.Errorf("dtnsim: sweep run with a different trace")
@@ -212,12 +215,6 @@ func (sw *Sweep) Run(cfg Config) (*Result, error) {
 	if cfg.Algorithm == nil {
 		return nil, fmt.Errorf("dtnsim: nil algorithm")
 	}
-	return sw.run(cfg)
-}
-
-// run executes one validated-trace run, sharding messages across
-// workers with pooled per-worker simulation state.
-func (sw *Sweep) run(cfg Config) (*Result, error) {
 	tr := sw.tr
 	// Node ids and copy counts are packed into int16 (events, copy
 	// slab); reject what would wrap before replaying anything.
@@ -239,36 +236,12 @@ func (sw *Sweep) run(cfg Config) (*Result, error) {
 		}
 	}
 
-	workers := engine.Workers(cfg.Workers)
-	if workers > len(cfg.Messages) {
-		workers = len(cfg.Messages)
-	}
-	algs, parallelizable := forward.ParallelInstances(cfg.Algorithm, max(workers, 1))
+	workers := max(1, min(engine.Workers(cfg.Workers), len(cfg.Messages)))
 	outcomes := make([]Outcome, len(cfg.Messages))
-	if workers <= 1 || !parallelizable {
-		s := sw.acquire(1)[0]
-		s.reset(cfg.Algorithm, cfg.CopyMode, sw.oracle, cfg.Messages, 0, 1, outcomes)
-		s.cancel = cfg.Cancel
-		s.run(sw.oracle.events)
-		sent, canceled := s.sent, s.canceled
-		sw.release(s)
-		if canceled {
-			return nil, cfg.Cancel.FiredErr()
-		}
-		return &Result{Algorithm: cfg.Algorithm.Name(), Outcomes: outcomes, Transmissions: sent}, nil
-	}
-
-	// Fan the messages out in strided shards: worker w owns messages
-	// w, w+workers, … Each shard replays the full contact stream into
-	// its own View (and algorithm clone), so every message sees
-	// exactly the state it would have seen in a serial run; outcomes
-	// land at their global index and transmission counts add up.
-	// engine.Map supplies the fan-out so a shard panic is captured and
-	// re-raised on this goroutine instead of killing the process.
 	sims := sw.acquire(workers)
-	engine.Map(workers, workers, func(w int) {
+	engine.MapWorkers(workers, workers, func(_, w int) {
 		s := sims[w]
-		s.reset(algs[w], cfg.CopyMode, sw.oracle, cfg.Messages, w, workers, outcomes)
+		s.reset(forward.Instance(cfg.Algorithm), cfg.CopyMode, sw.oracle, cfg.Messages, w, workers, outcomes)
 		s.cancel = cfg.Cancel
 		s.run(sw.oracle.events)
 	})
@@ -288,9 +261,10 @@ func (sw *Sweep) run(cfg Config) (*Result, error) {
 func (sw *Sweep) acquire(n int) []*sim {
 	out := make([]*sim, n)
 	sw.mu.Lock()
-	for i := 0; i < n && len(sw.pool) > 0; i++ {
-		out[i] = sw.pool[len(sw.pool)-1]
-		sw.pool = sw.pool[:len(sw.pool)-1]
+	for i := 0; i < n && sw.free != nil; i++ {
+		out[i], sw.free = sw.free, sw.free.next
+		out[i].next = nil
+		sw.pooled--
 	}
 	sw.mu.Unlock()
 	for i := range out {
@@ -312,8 +286,9 @@ func (sw *Sweep) release(sims ...*sim) {
 		s.alg, s.obs = nil, nil
 		s.cancel = nil
 		s.messages, s.outcomes = nil, nil
-		if len(sw.pool) < sw.poolCap {
-			sw.pool = append(sw.pool, s)
+		if sw.pooled < sw.poolCap {
+			s.next, sw.free = sw.free, s
+			sw.pooled++
 		}
 	}
 	sw.mu.Unlock()
@@ -397,7 +372,7 @@ const maxPopulation = math.MaxInt16 + 1
 
 // event is one point of the replay timeline, packed to keep the shared
 // stream cache-resident (24 bytes; node ids fit int16 under
-// maxPopulation, which Sweep.run enforces).
+// maxPopulation, which Sweep.Run enforces).
 type event struct {
 	time float64
 	kind eventKind
@@ -482,7 +457,7 @@ type sim struct {
 	mode     CopyMode
 	view     *forward.View
 	idleView *forward.View // parked view while a flooding run needs none
-	obs      forward.ContactObserver
+	obs      forward.Stateful
 	sprayL   int  // 0 when the algorithm has no copy budget
 	floods   bool // algorithm always consents (forward.Flooder)
 	fwdAll   bool // floods and no copy budget: every forward check passes
@@ -509,6 +484,7 @@ type sim struct {
 
 	cancel   *engine.Cancel // the run's cancellation token (nil: inert)
 	canceled bool           // a replay checkpoint saw it fire
+	next     *sim           // the next pooled sim in a Sweep's free list
 }
 
 // reset prepares the sim for one run: shard [base::stride] of messages
@@ -526,9 +502,7 @@ func (s *sim) reset(alg forward.Algorithm, mode CopyMode, oracle *Oracle, messag
 	s.obs = nil
 	if st, ok := alg.(forward.Stateful); ok {
 		st.Reset(n)
-	}
-	if o, ok := alg.(forward.ContactObserver); ok {
-		s.obs = o
+		s.obs = st
 	}
 	s.sprayL = 0
 	if cb, ok := alg.(forward.CopyBudget); ok {
@@ -545,7 +519,7 @@ func (s *sim) reset(alg forward.Algorithm, mode CopyMode, oracle *Oracle, messag
 	// reached when !fwdAll, so such runs skip the view entirely —
 	// at city scale its history tables are O(n²) per worker, the
 	// dominant memory of an epidemic run that never reads them.
-	// (ContactObservers keep their own state via OnContact.)
+	// (Stateful algorithms keep their own state via OnContact.)
 	if s.fwdAll {
 		if s.view != nil {
 			s.idleView = s.view // keep for a later non-flooding run

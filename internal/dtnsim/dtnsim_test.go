@@ -3,6 +3,7 @@ package dtnsim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -259,6 +260,41 @@ func TestSprayAndWaitBudget(t *testing.T) {
 	o := r.Outcomes[0]
 	if !o.Delivered || o.Delay != 100 {
 		t.Errorf("outcome = %+v, want delivery at 100 via node 1", o)
+	}
+}
+
+// Spray and Wait with one logical copy never sprays: the source waits
+// for the destination, exactly as Direct Delivery does. Both copy modes
+// must agree outcome for outcome and transmission for transmission, on
+// the Dev trace and on the four paper datasets.
+func TestSprayOneCopyIsDirectDelivery(t *testing.T) {
+	var traces []*trace.Trace
+	for seed := int64(1); seed <= 3; seed++ {
+		traces = append(traces, tracegen.Dev(seed))
+	}
+	for _, d := range tracegen.Datasets {
+		traces = append(traces, tracegen.MustGenerate(d))
+	}
+	for i, tr := range traces {
+		sw, err := NewSweep(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs := Workload(tr, 0.05, tr.Horizon*2/3, int64(i+1))
+		for _, mode := range []CopyMode{Replicate, Relay} {
+			spray, err := sw.Run(Config{Algorithm: forward.SprayAndWait{L: 1}, Messages: msgs, CopyMode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := sw.Run(Config{Algorithm: forward.DirectDelivery{}, Messages: msgs, CopyMode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(spray.Outcomes, direct.Outcomes) || spray.Transmissions != direct.Transmissions {
+				t.Errorf("%s/%s: Spray and Wait L=1 (%d transmissions) differs from Direct Delivery (%d)",
+					tr.Name, mode, spray.Transmissions, direct.Transmissions)
+			}
+		}
 	}
 }
 

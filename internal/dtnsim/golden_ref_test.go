@@ -161,7 +161,7 @@ type refSim struct {
 	alg      forward.Algorithm
 	mode     CopyMode
 	view     *refView
-	obs      forward.ContactObserver
+	obs      forward.Stateful
 	sprayL   int
 	open     [][]trace.NodeID
 	msgs     []refMsgState
@@ -225,7 +225,7 @@ func refRun(tr *trace.Trace, alg forward.Algorithm, msgs []Message, mode CopyMod
 	if st, ok := alg.(forward.Stateful); ok {
 		st.Reset(n)
 	}
-	if o, ok := alg.(forward.ContactObserver); ok {
+	if o, ok := alg.(forward.Stateful); ok {
 		s.obs = o
 	}
 	if cb, ok := alg.(forward.CopyBudget); ok {

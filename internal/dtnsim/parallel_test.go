@@ -69,28 +69,31 @@ func TestRunEquivalenceOnPaperDatasets(t *testing.T) {
 	}
 }
 
-// An observer algorithm that cannot clone must fall back to a serial
-// run when Workers > 1 and still produce the serial result.
-type nonCloningObserver struct {
-	contacts int
-}
-
-func (o *nonCloningObserver) Name() string { return "non-cloning observer" }
-
-func (o *nonCloningObserver) OnContact(a, b trace.NodeID, now float64) { o.contacts++ }
-
-func (o *nonCloningObserver) Forward(*forward.View, trace.NodeID, trace.NodeID, trace.NodeID, float64) bool {
-	return o.contacts%2 == 0
-}
-
-func TestRunStatefulNonClonerFallsBackToSerial(t *testing.T) {
+// One stateful algorithm value shared by concurrent one-shard runs
+// must not be replayed by any of them: each run's shard replays its own
+// clone, so every result equals a run on a fresh instance (and -race
+// sees no write to the shared value).
+func TestSharedStatefulAlgorithmConcurrentRuns(t *testing.T) {
 	tr := tracegen.Dev(5)
 	msgs := Workload(tr, 0.1, tr.Horizon, 5)
-	serial := runOrDie(t, Config{Trace: tr, Algorithm: &nonCloningObserver{}, Messages: msgs, Workers: 1})
-	par := runOrDie(t, Config{Trace: tr, Algorithm: &nonCloningObserver{}, Messages: msgs, Workers: 8})
-	if !reflect.DeepEqual(serial, par) {
-		t.Error("non-cloning observer parallel run diverges from serial fallback")
+	want := runOrDie(t, Config{Trace: tr, Algorithm: &forward.PRoPHET{}, Messages: msgs, Workers: 1})
+	shared := &forward.PRoPHET{}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := Run(Config{Trace: tr, Algorithm: shared, Messages: msgs, Workers: 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(want, r) {
+				t.Error("run sharing a PRoPHET value diverges from a run on a fresh instance")
+			}
+		}()
 	}
+	wg.Wait()
 }
 
 // Relay mode moves a single copy: a holder that hands the copy off

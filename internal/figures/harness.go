@@ -240,20 +240,18 @@ func (h *Harness) simulate(d tracegen.Dataset, workers int) (map[string]*dtnsim.
 		}
 		// One task per (algorithm, seed) pair, all sharing the sweep
 		// engine: the oracle tables are computed once per dataset and
-		// each task reuses pooled per-worker state. The inner simulator
-		// stays serial (Workers: 1): the fan-out itself already exposes
-		// more than enough parallelism, and nested fan-out would just
-		// multiply the per-shard contact-replay overhead.
+		// each task reuses pooled per-worker state. Tasks share the
+		// algorithm values, since every simulation shard replays its own
+		// forward.Instance. Each run keeps one shard (Workers: 1): the
+		// fan-out itself already exposes more than enough parallelism,
+		// and nested fan-out would just multiply the per-shard
+		// contact-replay overhead.
 		err = engine.MapErr(workers, len(algs)*h.P.SimRuns, func(t int) error {
 			a, run := t/h.P.SimRuns, t%h.P.SimRuns
-			alg, ok := parallelAlgorithm(algs[a])
-			if !ok {
-				return nil // handled serially below
-			}
 			msgs := workload(tr, h.P, run)
-			r, err := sw.Run(dtnsim.Config{Algorithm: alg, Messages: msgs, Workers: 1})
+			r, err := sw.Run(dtnsim.Config{Algorithm: algs[a], Messages: msgs, Workers: 1})
 			if err != nil {
-				return fmt.Errorf("figures: simulate %v/%s: %w", d, alg.Name(), err)
+				return fmt.Errorf("figures: simulate %v/%s: %w", d, algs[a].Name(), err)
 			}
 			runs[a][run] = r
 			return nil
@@ -263,34 +261,10 @@ func (h *Harness) simulate(d tracegen.Dataset, workers int) (map[string]*dtnsim.
 		}
 		out := make(map[string]*dtnsim.Result, len(algs))
 		for a, alg := range algs {
-			for run := 0; run < h.P.SimRuns; run++ {
-				if runs[a][run] != nil {
-					continue
-				}
-				// Stateful algorithm that cannot clone: run its seeds
-				// serially on the shared instance.
-				msgs := workload(tr, h.P, run)
-				r, err := sw.Run(dtnsim.Config{Algorithm: alg, Messages: msgs, Workers: 1})
-				if err != nil {
-					return nil, fmt.Errorf("figures: simulate %v/%s: %w", d, alg.Name(), err)
-				}
-				runs[a][run] = r
-			}
 			out[alg.Name()] = dtnsim.Merge(runs[a]...)
 		}
 		return out, nil
 	})
-}
-
-// parallelAlgorithm returns an instance of a safe to run concurrently
-// with other runs of the same algorithm, or ok=false when the
-// algorithm's state cannot be cloned.
-func parallelAlgorithm(a forward.Algorithm) (forward.Algorithm, bool) {
-	insts, ok := forward.ParallelInstances(a, 1)
-	if !ok {
-		return nil, false
-	}
-	return insts[0], true
 }
 
 // Precompute generates every dataset's trace, enumeration study and

@@ -16,54 +16,27 @@ type Algorithm interface {
 	Forward(v *View, holder, peer, dst trace.NodeID, now float64) bool
 }
 
-// ContactObserver is an optional interface for algorithms that keep
-// their own per-encounter state (e.g. PRoPHET's delivery
-// predictabilities). The simulator invokes OnContact at every contact
-// start, after updating the View.
-type ContactObserver interface {
-	OnContact(a, b trace.NodeID, now float64)
-}
-
-// Stateful is an optional interface for algorithms that must be reset
-// between simulation runs.
+// Stateful is an optional interface for algorithms that keep their
+// own per-encounter state (e.g. PRoPHET's delivery predictabilities).
+// Every simulation shard replays its own Clone, Reset at run start and
+// told of each contact start through OnContact after the View update;
+// each clone sees the full contact stream, so shards reach the same
+// state.
 type Stateful interface {
 	Reset(numNodes int)
+	OnContact(a, b trace.NodeID, now float64)
+	Clone() Algorithm // a fresh instance with the same parameters
 }
 
-// Cloner is an optional interface for algorithms with internal
-// mutable state that can produce fresh, independent instances. The
-// parallel simulator gives each worker its own clone, so every clone
-// observes the full contact stream and reaches the same state the
-// original would have in a serial run.
-type Cloner interface {
-	Clone() Algorithm
-}
-
-// ParallelInstances returns n instances of a that can run in
-// concurrent simulation shards, and whether that is possible. A
-// Cloner yields n fresh clones. Algorithms with mutable state
-// (Stateful or ContactObserver) that cannot clone themselves are
-// rejected — the caller must fall back to a serial run. Everything
-// else is a stateless decision rule whose Forward only reads the
-// per-shard View, so the same value is shared by every shard.
-func ParallelInstances(a Algorithm, n int) ([]Algorithm, bool) {
-	out := make([]Algorithm, n)
-	if c, ok := a.(Cloner); ok {
-		for i := range out {
-			out[i] = c.Clone()
-		}
-		return out, true
+// Instance returns the value one simulation shard replays: a fresh
+// clone of a Stateful algorithm, so concurrent shards and runs never
+// share mutable state, and a itself otherwise — a stateless decision
+// rule whose Forward only reads the shard's View.
+func Instance(a Algorithm) Algorithm {
+	if st, ok := a.(Stateful); ok {
+		return st.Clone()
 	}
-	if _, ok := a.(Stateful); ok {
-		return nil, false
-	}
-	if _, ok := a.(ContactObserver); ok {
-		return nil, false
-	}
-	for i := range out {
-		out[i] = a
-	}
-	return out, true
+	return a
 }
 
 // Flooder is an optional marker interface for algorithms whose Forward
@@ -225,8 +198,12 @@ func (p *PRoPHET) params() (pinit, beta, gamma float64) {
 	return pinit, beta, gamma
 }
 
-// Clone implements Cloner: a fresh predictability table with the same
-// protocol constants.
+// PRoPHET must stay Stateful: one missing method would otherwise
+// replay it as a stateless rule that never forwards.
+var _ Stateful = (*PRoPHET)(nil)
+
+// Clone implements Stateful: a fresh predictability table with the
+// same protocol constants.
 func (p *PRoPHET) Clone() Algorithm {
 	return &PRoPHET{PInit: p.PInit, Beta: p.Beta, Gamma: p.Gamma}
 }
@@ -262,8 +239,8 @@ func (p *PRoPHET) age(a trace.NodeID, now float64) {
 	p.lastAged[a] = now
 }
 
-// OnContact implements ContactObserver: direct update plus the
-// transitive rule.
+// OnContact implements Stateful: direct update plus the transitive
+// rule.
 func (p *PRoPHET) OnContact(a, b trace.NodeID, now float64) {
 	if p.p == nil {
 		return

@@ -20,12 +20,12 @@ const (
 	// rows, components, member lists and distance tables, plus the
 	// stable-component marking pass.
 	StageGraphFrames
-	// StageEnumPrefix is the batch enumerator's shared destination-free
-	// dynamic-program prefix.
+	// StageEnumPrefix is the enumerator's destination-free
+	// dynamic-program prefix, shared by a (source, start step) group.
 	StageEnumPrefix
 	// StageEnumFork is the enumerator's per-destination continuation:
-	// forked off a shared prefix, or a whole single-message enumeration
-	// when nothing is shared.
+	// forked off the prefix, or the prefix itself continued for a
+	// group's last destination.
 	StageEnumFork
 	// StageOracleBuild is the simulator's oracle-table derivation
 	// (contact totals and the sorted event stream).

@@ -150,9 +150,3 @@ func RateRatios(paths []*Path, rates []float64) [][]float64 {
 	}
 	return out
 }
-
-// ClassifyMessage returns the in/out pair type of a message under a
-// rate classifier (Fig 8, Fig 13).
-func ClassifyMessage(cl *trace.Classifier, msg Message) trace.PairType {
-	return cl.Classify(msg.Src, msg.Dst)
-}

@@ -75,22 +75,6 @@ func TestRateRatios(t *testing.T) {
 	}
 }
 
-func TestClassifyMessage(t *testing.T) {
-	tr, err := trace.New("cl", 4, 100, []trace.Contact{
-		{A: 0, B: 1, Start: 0, End: 1},
-		{A: 0, B: 2, Start: 1, End: 2},
-		{A: 0, B: 3, Start: 2, End: 3},
-		{A: 1, B: 2, Start: 3, End: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := trace.NewClassifier(tr)
-	if got := ClassifyMessage(cl, Message{Src: 0, Dst: 3}); got != trace.InOut {
-		t.Errorf("ClassifyMessage = %v, want in-out", got)
-	}
-}
-
 func TestGrowthRatePositiveForExponentialArrivals(t *testing.T) {
 	// Binary-tree spread: source meets 1 relay, relays meet fresh
 	// relays each step, all meeting dst at the end — arrival counts

@@ -1,8 +1,9 @@
 package pathenum
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -19,16 +20,17 @@ import (
 // destination at all, so the group advances a destination-free prefix
 // once and forks a private continuation (tables copied, path and row
 // arenas layered copy-on-write) per destination at the step it first
-// comes up. The paper's Fig 10/13 sweeps enumerate every destination
-// for one source and start, which turns their per-message cost into
-// per-group cost; batches of unrelated messages degenerate to
-// independent enumerations, one group each.
+// comes up; the last destination continues on the prefix itself. The
+// paper's Fig 10/13 sweeps enumerate every destination for one source
+// and start, which turns their per-message cost into per-group cost;
+// batches of unrelated messages degenerate to independent
+// enumerations, one group each, exactly as Enumerate runs a message.
 //
 // Results are returned in message order and are byte-identical to
 // independent Enumerate calls, for every worker count and grouping:
-// each forked continuation replays exactly the steps a fresh dynamic
-// program would run, and enumeration before a destination's first
-// contact is destination-independent. On failure EnumerateAll reports
+// each continuation replays exactly the steps a fresh dynamic program
+// would run, and enumeration before a destination's first contact is
+// destination-independent. On failure EnumerateAll reports
 // the error of the lowest-index invalid message — exactly what a
 // serial loop would have hit first; messages are validated up front,
 // so no enumeration runs on a batch with any invalid message.
@@ -40,15 +42,15 @@ func (e *Enumerator) EnumerateAll(msgs []Message) ([]*Result, error) {
 // and a cooperative cancellation token threaded into every group's
 // dynamic program, which polls it at every step boundary and every few
 // hundred extension roots. The shared destination-free prefix advances
-// accumulate under obs.StageEnumPrefix and the
-// per-destination continuations — forked off a prefix, or whole
-// single-message enumerations for ungrouped messages — under
-// obs.StageEnumFork. Groups run concurrently, so the trace's atomic
-// accumulation sums wall time across workers. A nil ot costs one
-// pointer check per phase boundary. Once cc fires the batch abandons:
-// in-flight groups stop at their next checkpoint, queued groups return
-// immediately, and the call reports a *engine.CanceledError with no
-// results. A nil cc — what EnumerateAll passes — is inert.
+// accumulate under obs.StageEnumPrefix and the per-destination
+// continuations under obs.StageEnumFork; a lone message is a group of
+// one, its steps before the destination's first contact timed as
+// prefix. Groups run concurrently, so the trace's atomic accumulation
+// sums wall time across workers. A nil ot costs one pointer check per
+// phase boundary. Once cc fires the batch abandons: in-flight groups
+// stop at their next checkpoint, queued groups return immediately, and
+// the call reports a *engine.CanceledError with no results. A nil cc —
+// what EnumerateAll passes — is inert.
 func (e *Enumerator) EnumerateAllCancel(msgs []Message, ot *obs.Trace, cc *engine.Cancel) ([]*Result, error) {
 	for i := range msgs {
 		if err := e.validateMessage(msgs[i]); err != nil {
@@ -80,23 +82,7 @@ func (e *Enumerator) EnumerateAllCancel(msgs []Message, ot *obs.Trace, cc *engin
 			return cc.FiredErr()
 		}
 		k := order[gi]
-		idxs := groups[k]
-		if len(idxs) == 1 {
-			// Nothing to share: the plain pooled-scratch path. The whole
-			// run is one private continuation with an empty prefix.
-			sp := ot.Start(obs.StageEnumFork)
-			r, err := e.enumerate(msgs[idxs[0]], cc)
-			sp.End()
-			if err != nil {
-				if engine.IsCanceled(err) {
-					return err
-				}
-				return fmt.Errorf("message %d: %w", idxs[0], err)
-			}
-			out[idxs[0]] = r
-			return nil
-		}
-		return e.enumerateGroup(k.src, k.s0, idxs, msgs, out, ot, cc)
+		return e.enumerateGroup(k.src, k.s0, groups[k], msgs, out, ot, cc)
 	})
 	if err != nil {
 		return nil, err
@@ -109,7 +95,9 @@ func (e *Enumerator) EnumerateAllCancel(msgs []Message, ot *obs.Trace, cc *engin
 // Destinations are processed in order of their first contact step: the
 // shared scratch advances destination-free to just before that step,
 // is forked, and the fork runs the remaining steps with the
-// destination live. Forks run strictly one at a time, so the layered
+// destination live. The last destination continues on the prefix's
+// own scratch instead: nothing steps the prefix after it, so a group
+// of one never forks. Forks run strictly one at a time, so the layered
 // arenas never race the base; results are materialized out of each
 // fork before the next advances the base. A fired cc abandons the
 // group at the next checkpoint (prefix or fork alike) and returns a
@@ -120,7 +108,8 @@ func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs [
 		mi int // index into msgs/out
 		fa int // first step >= s0 at which the destination has contacts
 	}
-	jobs := make([]job, 0, len(idxs))
+	// A constant capacity keeps small groups' jobs off the heap.
+	jobs := make([]job, 0, 8)
 	for _, mi := range idxs {
 		fa, ok := e.firstActive(msgs[mi].Dst, s0)
 		if !ok {
@@ -135,7 +124,7 @@ func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs [
 	if len(jobs) == 0 {
 		return nil
 	}
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].fa < jobs[b].fa })
+	slices.SortStableFunc(jobs, func(a, b job) int { return cmp.Compare(a.fa, b.fa) })
 
 	sp := ot.Start(obs.StageEnumPrefix)
 	sc0 := e.getScratch()
@@ -149,7 +138,7 @@ func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs [
 	sink := &Result{}
 	cur := s0
 	var fk *scratch
-	for _, j := range jobs {
+	for ji, j := range jobs {
 		sp = ot.Start(obs.StageEnumPrefix)
 		for ; cur < j.fa; cur++ {
 			if e.step(sc0, cur, -1, sink) {
@@ -161,18 +150,22 @@ func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs [
 			break
 		}
 		sp = ot.Start(obs.StageEnumFork)
-		fk = e.forkScratch(sc0, fk)
+		sc := sc0
+		if ji < len(jobs)-1 {
+			fk = e.forkScratch(sc0, fk)
+			sc = fk
+		}
 		res := &Result{Msg: msgs[j.mi], Delta: e.g.Delta}
 		for s := cur; s < e.g.Steps; s++ {
-			if e.step(fk, s, msgs[j.mi].Dst, res) {
+			if e.step(sc, s, msgs[j.mi].Dst, res) {
 				break
 			}
 		}
-		if fk.canceled {
+		if sc.canceled {
 			sp.End()
 			break
 		}
-		materializeArrivals(fk, res)
+		materializeArrivals(sc, res)
 		out[j.mi] = res
 		sp.End()
 	}

@@ -373,42 +373,17 @@ func (e *Enumerator) Enumerate(msg Message) (*Result, error) {
 // every few hundred extension roots) and abandons with a
 // *engine.CanceledError once it fires. A nil cc costs one branch per
 // checkpoint, and a token that never fires changes nothing: the result
-// is byte-identical to a plain Enumerate.
+// is byte-identical to a plain Enumerate. The message runs as a batch
+// group of one.
 func (e *Enumerator) enumerate(msg Message, cc *engine.Cancel) (*Result, error) {
 	if err := e.validateMessage(msg); err != nil {
 		return nil, err
 	}
-	sc := e.getScratch()
-	sc.cancel = cc
-	res := e.run(sc, msg)
-	if sc.canceled {
-		sc.cancel = nil
-		e.pool.Put(sc)
-		return nil, cc.FiredErr()
+	idxs, msgs, out := [1]int{}, [1]Message{msg}, [1]*Result{}
+	if err := e.enumerateGroup(msg.Src, e.g.StepOf(msg.Start), idxs[:], msgs[:], out[:], nil, cc); err != nil {
+		return nil, err
 	}
-	// The arrival chains live in the scratch's arena as index-linked
-	// pnodes; materialize them into one compact slab of public Path
-	// values before the scratch (and arena) goes back to the pool.
-	materializeArrivals(sc, res)
-	sc.cancel = nil
-	e.pool.Put(sc)
-	return res, nil
-}
-
-// run executes the dynamic program with scratch sc. Arrivals are
-// recorded as arena handles in sc.arrivals; the caller materializes
-// them into res before releasing sc.
-func (e *Enumerator) run(sc *scratch, msg Message) *Result {
-	sc.prepare()
-	res := &Result{Msg: msg, Delta: e.g.Delta}
-	s0 := e.g.StepOf(msg.Start)
-	e.seed(sc, msg.Src, s0)
-	for s := s0; s < e.g.Steps; s++ {
-		if e.step(sc, s, msg.Dst, res) {
-			return res
-		}
-	}
-	return res
+	return out[0], nil
 }
 
 // seed installs the zero-hop source tuple into the table.

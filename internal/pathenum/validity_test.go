@@ -1,7 +1,10 @@
 package pathenum
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -223,5 +226,75 @@ func TestEnumeratorReuseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Relabeling the nodes permutes the results: on a trace whose contacts
+// are renamed by a permutation (and kept in their order), the renamed
+// message's arrivals are the original arrivals renamed, step for step,
+// and the budget verdict is the same. K is large enough that nothing
+// truncates, so arrival order within a step is the only freedom.
+func TestRelabelingPermutesArrivals(t *testing.T) {
+	// arrivalsByStep returns each arrival step's sorted list of paths
+	// (nodes renamed through rename, then steps).
+	arrivalsByStep := func(r *Result, rename []int) map[int][]string {
+		out := make(map[int][]string)
+		for _, p := range r.Arrivals {
+			nodes := p.Nodes()
+			for i, x := range nodes {
+				nodes[i] = trace.NodeID(rename[x])
+			}
+			out[p.Step] = append(out[p.Step], fmt.Sprint(nodes, p.Steps()))
+		}
+		for _, ps := range out {
+			slices.Sort(ps)
+		}
+		return out
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(6)
+		tr, err := randomTrace(rng, n, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := rng.Perm(n)
+		cs := slices.Clone(tr.Contacts())
+		for i := range cs {
+			cs[i].A, cs[i].B = trace.NodeID(perm[cs[i].A]), trace.NodeID(perm[cs[i].B])
+		}
+		relabeled, err := trace.New("relabeled", n, tr.Horizon, cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := trace.NodeID(rng.Intn(n))
+		dst := trace.NodeID((int(src) + 1 + rng.Intn(n-1)) % n)
+		msg := Message{Src: src, Dst: dst, Start: rng.Float64() * 200}
+		relMsg := Message{Src: trace.NodeID(perm[src]), Dst: trace.NodeID(perm[dst]), Start: msg.Start}
+
+		opt := Options{K: 1 << 20}
+		e, err := NewEnumerator(tr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := NewEnumerator(relabeled, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Enumerate(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := re.Enumerate(relMsg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identity := make([]int, n)
+		for i := range identity {
+			identity[i] = i
+		}
+		if r.Exhausted != rr.Exhausted || !reflect.DeepEqual(arrivalsByStep(r, perm), arrivalsByStep(rr, identity)) {
+			t.Fatalf("seed %d: relabeled %v → %v does not permute the arrivals of %v", seed, perm, relMsg, msg)
+		}
 	}
 }

@@ -16,10 +16,13 @@ import (
 // distinct values clients send: beyond max entries the least recently
 // used entry is evicted and recomputed on its next request (in-flight
 // users keep their reference; the GC reclaims it when the last one
-// drops). The mutex guards only the lookup, recency bookkeeping and
-// counters; computations for distinct keys run in parallel, and an
-// entry evicted mid-computation simply finishes for its waiters.
-// Values must be immutable once returned.
+// drops). A map built by newSizedMemoMap also weighs every value it
+// keeps and evicts least recently used entries while their total
+// exceeds its byte budget; a value heavier than the whole budget is
+// returned to its callers but never kept. The mutex guards only the
+// lookup, recency bookkeeping and counters; computations for distinct
+// keys run in parallel, and an entry evicted mid-computation simply
+// finishes for its waiters. Values must be immutable once returned.
 //
 // Singleflight is a done channel rather than a sync.Once so waiters
 // can respect their own cancellation token: the entry's creator (the
@@ -33,6 +36,10 @@ type memoMap[K comparable, V any] struct {
 	order *list.List // front = most recently used; values are *memoEntry[K, V]
 	byKey map[K]*list.Element
 
+	size     func(V) int // weighs a value; nil means entries are unweighed
+	maxBytes int         // budget for the kept values' total size
+	bytes    int         // total size of the kept values
+
 	hits, misses int64
 }
 
@@ -41,10 +48,19 @@ type memoEntry[K comparable, V any] struct {
 	done chan struct{} // closed once val/err are set
 	val  V
 	err  error
+	size int // val's weight, counted in bytes once filled
 }
 
 func newMemoMap[K comparable, V any](max int) *memoMap[K, V] {
 	return &memoMap[K, V]{max: max, order: list.New(), byKey: make(map[K]*list.Element)}
+}
+
+// newSizedMemoMap is newMemoMap with a byte budget: size weighs each
+// value, and the map keeps at most maxBytes of them.
+func newSizedMemoMap[K comparable, V any](max, maxBytes int, size func(V) int) *memoMap[K, V] {
+	c := newMemoMap[K, V](max)
+	c.size, c.maxBytes = size, maxBytes
+	return c
 }
 
 // get returns the value for k, computing it at most once while cached.
@@ -70,9 +86,7 @@ func (c *memoMap[K, V]) get(cc *engine.Cancel, k K, f func() (V, error)) (V, err
 		c.byKey[k] = c.order.PushFront(e)
 		leader = true
 		for c.order.Len() > c.max {
-			back := c.order.Back()
-			c.order.Remove(back)
-			delete(c.byKey, back.Value.(*memoEntry[K, V]).key)
+			c.remove(c.order.Back())
 		}
 	}
 	c.mu.Unlock()
@@ -92,27 +106,45 @@ func (c *memoMap[K, V]) get(cc *engine.Cancel, k K, f func() (V, error)) (V, err
 // is then re-raised for the leader's own recovery middleware. A failed
 // entry (a transient build error, a build the leader abandoned at a
 // cancellation checkpoint, or a panic) is dropped before done closes,
-// so no later caller can join it.
+// so no later caller can join it. A successful fill of a sized map is
+// weighed here, evicting from the back while the budget is exceeded.
 func (c *memoMap[K, V]) fill(e *memoEntry[K, V], f func() (V, error)) {
 	defer func() {
 		r := recover()
 		if r != nil {
 			e.err = fmt.Errorf("service: panic during cache fill: %v", r)
 		}
-		if e.err != nil {
-			c.mu.Lock()
-			if cur, ok := c.byKey[e.key]; ok && cur.Value.(*memoEntry[K, V]) == e {
-				c.order.Remove(cur)
-				delete(c.byKey, e.key)
+		c.mu.Lock()
+		if cur, ok := c.byKey[e.key]; ok && cur.Value.(*memoEntry[K, V]) == e {
+			switch {
+			case e.err != nil:
+				c.remove(cur)
+			case c.size != nil:
+				if n := c.size(e.val); n > c.maxBytes {
+					c.remove(cur) // answered, never kept
+				} else {
+					e.size = n
+					c.bytes += n
+					for c.bytes > c.maxBytes {
+						c.remove(c.order.Back())
+					}
+				}
 			}
-			c.mu.Unlock()
 		}
+		c.mu.Unlock()
 		close(e.done)
 		if r != nil {
 			panic(r)
 		}
 	}()
 	e.val, e.err = f()
+}
+
+// remove drops a listed entry and its weight. c.mu must be held.
+func (c *memoMap[K, V]) remove(el *list.Element) {
+	e := c.order.Remove(el).(*memoEntry[K, V])
+	delete(c.byKey, e.key)
+	c.bytes -= e.size
 }
 
 // stats returns the hit/miss counters and current entry count.

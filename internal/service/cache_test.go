@@ -202,3 +202,48 @@ func TestMemoMapPanicNotPinned(t *testing.T) {
 		t.Fatalf("get after a panicked fill = %q/%v with %d calls, want a recomputed \"ok\"", v, err, calls)
 	}
 }
+
+// TestMemoMapBoundsBytes: a sized map evicts least recently used
+// entries once the kept values outweigh its budget, keeps its weight
+// right through count evictions, and answers a value heavier than the
+// whole budget without keeping it.
+func TestMemoMapBoundsBytes(t *testing.T) {
+	m := newSizedMemoMap[string](3, 10, func(b []byte) int { return len(b) })
+	builds := 0
+	get := func(k string, size int) {
+		t.Helper()
+		v, err := m.get(nil, k, func() ([]byte, error) { builds++; return make([]byte, size), nil })
+		if err != nil || len(v) != size {
+			t.Fatalf("get(%q) = %d bytes/%v, want %d bytes", k, len(v), err, size)
+		}
+	}
+	check := func(wantBuilds, wantEntries, wantBytes int) {
+		t.Helper()
+		_, _, entries := m.stats()
+		if builds != wantBuilds || entries != wantEntries || m.bytes != wantBytes {
+			t.Fatalf("builds/entries/bytes = %d/%d/%d, want %d/%d/%d",
+				builds, entries, m.bytes, wantBuilds, wantEntries, wantBytes)
+		}
+	}
+	get("a", 4)
+	get("b", 4)
+	get("a", 4) // hit; refreshes a
+	check(2, 2, 8)
+	get("c", 4) // 12 bytes: evicts b, the least recently used
+	check(3, 2, 8)
+	get("a", 4) // still kept
+	check(3, 2, 8)
+	get("big", 11) // heavier than the budget: answered, not kept
+	check(4, 2, 8)
+	get("big", 11) // so it is recomputed
+	check(5, 2, 8)
+	get("d", 1)
+	get("e", 1) // four entries: the count bound evicts c and its bytes
+	check(7, 3, 6)
+	get("c", 4) // rebuilt after eviction
+	check(8, 3, 6)
+	hits, misses, _ := m.stats()
+	if hits != 2 || misses != 8 {
+		t.Errorf("hits/misses = %d/%d, want 2/8", hits, misses)
+	}
+}

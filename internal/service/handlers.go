@@ -534,8 +534,9 @@ func AlgorithmNames() []string {
 
 // AlgorithmByName resolves a forwarding algorithm case-insensitively,
 // accepting hyphens for spaces ("greedy-total"). It returns a fresh
-// instance on every call: stateful algorithms (PRoPHET) must never be
-// shared across concurrent simulations.
+// instance on every call, though concurrent simulations may share one:
+// every simulation shard replays its own clone of a stateful algorithm
+// (PRoPHET; see forward.Instance).
 func AlgorithmByName(name string) (forward.Algorithm, bool) {
 	want := strings.ToLower(strings.ReplaceAll(name, "-", " "))
 	for _, a := range forward.ExtendedSet() {

@@ -44,6 +44,9 @@ type Config struct {
 	// CacheSize bounds the memoized-result LRU (marshaled response
 	// bytes keyed by canonical request). Zero means 256 entries;
 	// negative disables response caching (every request computes).
+	// Whatever the entry bound, the kept bodies total at most 64 MiB:
+	// least recently used ones are evicted beyond it, and a body larger
+	// than that is answered but not kept.
 	CacheSize int
 
 	// EnablePprof mounts net/http/pprof under GET /debug/pprof/. The
@@ -136,13 +139,20 @@ type reqInfo struct {
 	dataset string
 }
 
+// maxCachedResultBytes bounds the bodies the result cache keeps. One
+// admitted /enumerate answer can reach tens of megabytes, so an entry
+// bound alone would let 256 of them pin gigabytes. psn-load's mix on
+// dev answers at most ~16 KB per message and ~124 KB per 8-message
+// batch, so 256 of its largest bodies stay under 32 MB, inside it.
+const maxCachedResultBytes = 64 << 20
+
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
 		art:     newArtifacts(cfg.Registry),
-		results: newMemoMap[string, []byte](cfg.CacheSize),
+		results: newSizedMemoMap[string](cfg.CacheSize, maxCachedResultBytes, func(b []byte) int { return len(b) }),
 		metrics: newMetrics(),
 		idTag:   mathrand.Uint64() << 32,
 	}

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the paper's
-// figures are built from: empirical CDFs, histograms, quantiles,
-// box-plot summaries, confidence intervals, and exponential growth-rate
+// figures are built from: empirical CDFs, quantiles, box-plot
+// summaries, confidence intervals, and exponential growth-rate
 // estimation. Everything is deterministic and stdlib-only.
 package stats
 
@@ -126,84 +126,6 @@ func (e *ECDF) Max() float64 { return e.sorted[len(e.sorted)-1] }
 
 // Quantile returns the q-quantile of the underlying sample.
 func (e *ECDF) Quantile(q float64) float64 { return sortedQuantile(e.sorted, q) }
-
-// CurvePoint is one (x, P[X<=x]) point of a rendered CDF curve.
-type CurvePoint struct {
-	X float64
-	P float64
-}
-
-// Curve samples the ECDF at n evenly spaced points spanning
-// [0 or Min, Max] — the series the paper plots in Figs 4, 7 and 10.
-// The x range starts at min(0, Min) so curves for nonnegative data
-// start at the origin like the paper's axes.
-func (e *ECDF) Curve(n int) []CurvePoint {
-	if n < 2 {
-		n = 2
-	}
-	lo := math.Min(0, e.Min())
-	hi := e.Max()
-	if hi == lo {
-		hi = lo + 1
-	}
-	out := make([]CurvePoint, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		out[i] = CurvePoint{X: x, P: e.P(x)}
-	}
-	return out
-}
-
-// Histogram counts samples into fixed-width bins over [lo, hi).
-type Histogram struct {
-	Lo, Hi   float64
-	BinWidth float64
-	Counts   []int
-	Under    int // samples below Lo
-	Over     int // samples at or above Hi
-}
-
-// NewHistogram builds a histogram with nbins equal bins over [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) (*Histogram, error) {
-	if nbins <= 0 || hi <= lo {
-		return nil, errors.New("stats: bad histogram range")
-	}
-	return &Histogram{
-		Lo: lo, Hi: hi,
-		BinWidth: (hi - lo) / float64(nbins),
-		Counts:   make([]int, nbins),
-	}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.BinWidth)
-		if i >= len(h.Counts) { // float round-off at the upper edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.BinWidth
-}
 
 // FiveNum is a box-and-whiskers five-number summary (Fig 15).
 type FiveNum struct {

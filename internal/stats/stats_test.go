@@ -93,30 +93,6 @@ func TestECDFEmpty(t *testing.T) {
 	}
 }
 
-func TestECDFCurve(t *testing.T) {
-	e, _ := NewECDF([]float64{0, 10})
-	pts := e.Curve(11)
-	if len(pts) != 11 {
-		t.Fatalf("len = %d, want 11", len(pts))
-	}
-	if pts[0].X != 0 || pts[10].X != 10 {
-		t.Errorf("x range = [%g,%g], want [0,10]", pts[0].X, pts[10].X)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].P < pts[i-1].P {
-			t.Errorf("curve not monotone at %d", i)
-		}
-	}
-	if pts[10].P != 1 {
-		t.Errorf("final P = %g, want 1", pts[10].P)
-	}
-	// Degenerate n and constant sample both must not panic.
-	c, _ := NewECDF([]float64{5})
-	if got := c.Curve(1); len(got) != 2 {
-		t.Errorf("Curve(1) len = %d, want 2", len(got))
-	}
-}
-
 func TestECDFQuantileAgreesWithQuantile(t *testing.T) {
 	xs := []float64{9, 4, 7, 1, 3, 8}
 	e, _ := NewECDF(xs)
@@ -124,43 +100,6 @@ func TestECDFQuantileAgreesWithQuantile(t *testing.T) {
 		if got, want := e.Quantile(q), Quantile(xs, q); !almostEqual(got, want, 1e-12) {
 			t.Errorf("q=%g: %g vs %g", q, got, want)
 		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 50} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("Under/Over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0, 1.9
-		t.Errorf("bin 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin 1 = %d, want 1", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.999
-		t.Errorf("bin 4 = %d, want 1", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %g, want 1", got)
-	}
-}
-
-func TestHistogramBadRange(t *testing.T) {
-	if _, err := NewHistogram(0, 0, 5); err == nil {
-		t.Errorf("empty range accepted")
-	}
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Errorf("zero bins accepted")
 	}
 }
 

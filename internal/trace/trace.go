@@ -37,18 +37,6 @@ func (c Contact) Duration() float64 { return c.End - c.Start }
 // Involves reports whether node n is one of the contact's endpoints.
 func (c Contact) Involves(n NodeID) bool { return c.A == n || c.B == n }
 
-// Peer returns the other endpoint of the contact, given one endpoint.
-// It panics if n is not an endpoint.
-func (c Contact) Peer(n NodeID) NodeID {
-	switch n {
-	case c.A:
-		return c.B
-	case c.B:
-		return c.A
-	}
-	panic(fmt.Sprintf("trace: node %d not part of contact %v", n, c))
-}
-
 // Overlaps reports whether the contact is active at any point during
 // [from, to).
 func (c Contact) Overlaps(from, to float64) bool {

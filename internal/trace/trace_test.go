@@ -25,25 +25,6 @@ func TestContactDuration(t *testing.T) {
 	}
 }
 
-func TestContactPeer(t *testing.T) {
-	c := Contact{A: 3, B: 7}
-	if got := c.Peer(3); got != 7 {
-		t.Errorf("Peer(3) = %d, want 7", got)
-	}
-	if got := c.Peer(7); got != 3 {
-		t.Errorf("Peer(7) = %d, want 3", got)
-	}
-}
-
-func TestContactPeerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Peer on non-member did not panic")
-		}
-	}()
-	Contact{A: 3, B: 7}.Peer(5)
-}
-
 func TestContactInvolves(t *testing.T) {
 	c := Contact{A: 1, B: 2}
 	for _, tc := range []struct {

@@ -41,9 +41,10 @@
 // the simulator's oracle tables), write results into per-message
 // slots, and derive any per-item randomness from a per-index seed
 // split (DeriveSeed). Forwarding algorithms with internal state
-// parallelize by cloning (one instance per worker, each replaying the
-// full contact stream); an algorithm that cannot clone makes the
-// simulator fall back to a serial run rather than risk divergence.
+// implement forward.Stateful: every simulation shard replays its own
+// clone through the full contact stream, whatever the worker count,
+// so the caller's algorithm value is never mutated and may be shared
+// by concurrent runs.
 //
 // # Batched sweeps
 //
