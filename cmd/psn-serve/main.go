@@ -9,6 +9,8 @@
 //	psn-serve -addr :9090 -workers 8
 //	psn-serve -trace office=office.txt         # add a file-backed dataset
 //	psn-serve -max-inflight 32 -cache-size 512
+//	psn-serve -trace-slow 250ms                # log requests slower than 250 ms
+//	psn-serve -trace-slow 1ns                  # log every request
 //	psn-serve -selfcheck                       # smoke: serve, query, compare, exit
 //
 // Endpoints: GET /datasets, POST /enumerate, POST /simulate,
@@ -48,8 +50,7 @@ func main() {
 		cacheSize    = flag.Int("cache-size", 0, "memoized-result LRU entries (0 = 256, <0 = disable)")
 		selfcheck    = flag.Bool("selfcheck", false, "start on an ephemeral port, verify /healthz and /enumerate against the library, and exit")
 		enablePprof  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (bypasses the in-flight limit)")
-		traceSlow    = flag.Duration("trace-slow", 0, "log a structured stage-breakdown line for requests at least this slow (0 = off), e.g. -trace-slow 250ms")
-		accessLog    = flag.Bool("access-log", false, "log one structured line per request (method, path, dataset, status, latency, request ID)")
+		traceSlow    = flag.Duration("trace-slow", 0, "log one structured line (request ID, endpoint, dataset, status, latency, stage breakdown) per request at least this slow (0 = off; 1ns logs every request), e.g. -trace-slow 250ms")
 		reqTimeout   = flag.Duration("request-timeout", 0, "deadline per experiment request: compute abandons cooperatively and the client gets 503 + Retry-After (0 = 30s, <0 = no deadline)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound: /healthz flips to 503 and in-flight requests get this long to finish")
 	)
@@ -70,7 +71,6 @@ func main() {
 		CacheSize:      *cacheSize,
 		EnablePprof:    *enablePprof,
 		TraceSlow:      *traceSlow,
-		AccessLog:      *accessLog,
 		RequestTimeout: *reqTimeout,
 		Logger:         slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	})

@@ -55,11 +55,11 @@ func TestEnumerateAllWorkersEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := serialEnum.EnumerateAll(msgs)
+		want, err := serialEnum.EnumerateAll(msgs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := parallelEnum.EnumerateAll(msgs)
+		got, err := parallelEnum.EnumerateAll(msgs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

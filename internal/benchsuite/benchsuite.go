@@ -55,7 +55,7 @@ func SpaceTimeGraphBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stgraph.New(tr, stgraph.DefaultDelta); err != nil {
+		if _, err := stgraph.New(tr, stgraph.DefaultDelta, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,7 +96,7 @@ func SpaceTimeGraphBuildLarge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stgraph.New(tr, stgraph.DefaultDelta); err != nil {
+		if _, err := stgraph.New(tr, stgraph.DefaultDelta, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func EnumerateAllWorkers(workers int) func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := enum.EnumerateAll(msgs); err != nil {
+			if _, err := enum.EnumerateAll(msgs, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -231,7 +231,7 @@ func EnumerateBatchSharedPrefix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := enum.EnumerateAll(msgs); err != nil {
+		if _, err := enum.EnumerateAll(msgs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

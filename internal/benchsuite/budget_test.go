@@ -24,8 +24,8 @@ const (
 	batchSharedPrefixBytesBudget = 64 << 20
 
 	// ServeEnumerateWarm measured 109 allocs/op before the
-	// observability layer and 113 after (request ID string, header
-	// value, slow/access-log checks are branch-only): the histogram
+	// observability layer and 114 after (request ID string, header
+	// value; the slow-request check is branch-only): the histogram
 	// records and stage spans themselves are allocation-free, and this
 	// budget holds the whole envelope to at most 8 allocations over the
 	// pre-observability baseline.

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/forward"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -81,12 +82,13 @@ type Config struct {
 	// each shard replays its own clone of a forward.Stateful algorithm.
 	Workers int
 
-	// Cancel optionally threads a cooperative cancellation token
-	// through the replay: every shard polls it a few thousand events
-	// apart and, once it fires, the run abandons with a
-	// *engine.CanceledError and no Result. Nil is inert, and a token
+	// Ctx optionally carries the caller's cancellation token and
+	// stage trace into the run. Sweep.Run records the replay under
+	// obs.StageSimRun. Every shard polls the token at entry and a few
+	// thousand events apart and, once it fires, the run abandons with
+	// a *engine.CanceledError and no Result. Nil is inert, and a token
 	// that never fires leaves the Result byte-identical.
-	Cancel *engine.Cancel
+	Ctx *engine.Ctx
 }
 
 // Oracle bundles the read-only per-trace tables a simulation replays:
@@ -207,7 +209,8 @@ func (sw *Sweep) Oracle() *Oracle { return sw.oracle }
 // it; outcomes land at their global index and transmission counts add
 // up. engine.MapWorkers supplies the fan-out, so a shard panic on a
 // worker goroutine is re-raised on this one instead of killing the
-// process; a single shard runs inline.
+// process; a single shard runs inline. The replay, not the oracle
+// build in NewSweep, is recorded under obs.StageSimRun on cfg.Ctx.
 func (sw *Sweep) Run(cfg Config) (*Result, error) {
 	if cfg.Trace != nil && cfg.Trace != sw.tr {
 		return nil, fmt.Errorf("dtnsim: sweep run with a different trace")
@@ -236,23 +239,24 @@ func (sw *Sweep) Run(cfg Config) (*Result, error) {
 		}
 	}
 
+	sp := cfg.Ctx.Start(obs.StageSimRun)
 	workers := max(1, min(engine.Workers(cfg.Workers), len(cfg.Messages)))
 	outcomes := make([]Outcome, len(cfg.Messages))
 	sims := sw.acquire(workers)
 	engine.MapWorkers(workers, workers, func(_, w int) {
 		s := sims[w]
 		s.reset(forward.Instance(cfg.Algorithm), cfg.CopyMode, sw.oracle, cfg.Messages, w, workers, outcomes)
-		s.cancel = cfg.Cancel
+		s.cx = cfg.Ctx
 		s.run(sw.oracle.events)
 	})
-	total, canceled := 0, false
+	total := 0
 	for _, s := range sims {
 		total += s.sent
-		canceled = canceled || s.canceled
 	}
 	sw.release(sims...)
-	if canceled {
-		return nil, cfg.Cancel.FiredErr()
+	sp.End()
+	if cfg.Ctx.Stopped() {
+		return nil, cfg.Ctx.FiredErr()
 	}
 	return &Result{Algorithm: cfg.Algorithm.Name(), Outcomes: outcomes, Transmissions: total}, nil
 }
@@ -284,7 +288,7 @@ func (sw *Sweep) release(sims ...*sim) {
 	sw.mu.Lock()
 	for _, s := range sims {
 		s.alg, s.obs = nil, nil
-		s.cancel = nil
+		s.cx = nil
 		s.messages, s.outcomes = nil, nil
 		if sw.pooled < sw.poolCap {
 			s.next, sw.free = sw.free, s
@@ -482,9 +486,8 @@ type sim struct {
 	stride   int       // worker count of the run
 	sent     int       // total copy transfers, including deliveries
 
-	cancel   *engine.Cancel // the run's cancellation token (nil: inert)
-	canceled bool           // a replay checkpoint saw it fire
-	next     *sim           // the next pooled sim in a Sweep's free list
+	cx   *engine.Ctx // the run's call context (nil: inert)
+	next *sim        // the next pooled sim in a Sweep's free list
 }
 
 // reset prepares the sim for one run: shard [base::stride] of messages
@@ -497,7 +500,6 @@ func (s *sim) reset(alg forward.Algorithm, mode CopyMode, oracle *Oracle, messag
 	s.messages, s.outcomes = messages, outcomes
 	s.base, s.stride = base, stride
 	s.sent = 0
-	s.canceled = false
 
 	s.obs = nil
 	if st, ok := alg.(forward.Stateful); ok {
@@ -610,8 +612,8 @@ func (s *sim) run(contactEvents []event) {
 	// Entry checkpoint: a token that fired before the replay started
 	// (request already timed out while queued) abandons immediately,
 	// even on traces smaller than the amortized poll interval below.
-	if s.cancel.Stopped() {
-		s.canceled = true
+	// Sweep.Run re-polls the token and discards the partial outcomes.
+	if s.cx.Stopped() {
 		return
 	}
 	s.creates = s.creates[:0]
@@ -623,10 +625,8 @@ func (s *sim) run(contactEvents []event) {
 	for n := 0; i < len(contactEvents) || j < len(s.creates); n++ {
 		// Amortized cancellation checkpoint: a few thousand events cost
 		// well under a millisecond, so a fired token stops the replay
-		// promptly without a per-event poll. The abandoned shard's
-		// partial outcomes are discarded by the caller.
-		if n&4095 == 4095 && s.cancel.Stopped() {
-			s.canceled = true
+		// promptly without a per-event poll.
+		if n&4095 == 4095 && s.cx.Stopped() {
 			return
 		}
 		var ev event

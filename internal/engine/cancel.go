@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // CanceledError reports that a computation stopped at a cooperative
@@ -29,33 +31,37 @@ func IsCanceled(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// Cancel is a cooperative cancellation token threaded through the
-// compute layers (pathenum's dynamic program, dtnsim's event replay,
-// stgraph's frame construction). It combines two stop conditions — a
-// context (client disconnect) and a wall-clock deadline (request
-// timeout) — behind one amortized poll, with no watcher goroutine and
-// no per-request timer: Stopped reads ctx.Err() and the clock only
-// when called, so callers poll it every few thousand work units and
-// pay nanoseconds per check.
+// Ctx is the call context threaded through the compute layers
+// (stgraph's graph build, pathenum's dynamic program, dtnsim's event
+// replay): a cooperative cancellation token plus the stage trace the
+// layers record their spans into. The token combines two stop
+// conditions — a context (client disconnect) and a wall-clock
+// deadline (request timeout) — behind one amortized poll, with no
+// watcher goroutine and no per-request timer: Stopped reads ctx.Err()
+// and the clock only when called, so callers poll it every few
+// thousand work units and pay nanoseconds per check.
 //
-// A nil *Cancel (and the zero value) is fully inert: Stopped is one
-// pointer/field check, Err returns nil, Wait blocks until done. Hot
-// loops therefore carry the token unconditionally and benchmarks that
-// pass nil measure the uncancellable baseline.
+// A nil *Ctx (and the zero value) is fully inert: Stopped is one
+// pointer/field check, Err returns nil, Wait blocks until done, and
+// Start returns an inert span without reading the clock.
 //
 // Cancellation never changes results: a computation either completes
 // — byte-identical to one run without a token — or abandons with a
-// CanceledError and no result at all.
-type Cancel struct {
+// CanceledError and no result at all. Both stop conditions are
+// monotonic, so a layer re-polls Stopped after a loop to learn whether
+// a checkpoint inside it saw the token fire.
+type Ctx struct {
 	ctx      context.Context // optional; nil means no context condition
 	deadline time.Time       // optional; zero means no deadline
+	trace    *obs.Trace      // optional; nil records no spans
 }
 
-// NewCancel builds a token that stops when ctx is done or, when
-// timeout is positive, after timeout elapses from now. A nil ctx and
-// non-positive timeout yield an inert token.
-func NewCancel(ctx context.Context, timeout time.Duration) Cancel {
-	c := Cancel{}
+// NewCtx builds a call context that stops when ctx is done or, when
+// timeout is positive, after timeout elapses from now, and records
+// stage spans into tr. A nil ctx, a non-positive timeout and a nil tr
+// yield an inert context.
+func NewCtx(ctx context.Context, timeout time.Duration, tr *obs.Trace) Ctx {
+	c := Ctx{trace: tr}
 	if ctx != nil && ctx.Done() != nil {
 		c.ctx = ctx
 	}
@@ -65,10 +71,20 @@ func NewCancel(ctx context.Context, timeout time.Duration) Cancel {
 	return c
 }
 
+// Start opens a span for stage s on the context's trace. On a nil Ctx
+// or one without a trace it returns an inert span and does not read
+// the clock.
+func (c *Ctx) Start(s obs.Stage) obs.Span {
+	if c == nil {
+		return obs.Span{}
+	}
+	return c.trace.Start(s)
+}
+
 // Stopped reports whether the token has fired. It is the amortized
 // poll for hot loops: a nil or inert receiver costs a branch; a live
 // one costs a ctx.Err() load and at most one clock read.
-func (c *Cancel) Stopped() bool {
+func (c *Ctx) Stopped() bool {
 	if c == nil {
 		return false
 	}
@@ -82,7 +98,7 @@ func (c *Cancel) Stopped() bool {
 // wrapping the triggering cause once it has. The context condition
 // wins ties, so a request that disconnected and timed out reports the
 // disconnect.
-func (c *Cancel) Err() error {
+func (c *Ctx) Err() error {
 	if c == nil {
 		return nil
 	}
@@ -102,7 +118,7 @@ func (c *Cancel) Err() error {
 // DeadlineExceeded cause if the conditions cannot be re-observed (a
 // defensive path; both conditions are monotonic once fired). It keeps
 // "canceled computation, nil error" unrepresentable at abandon sites.
-func (c *Cancel) FiredErr() error {
+func (c *Ctx) FiredErr() error {
 	if err := c.Err(); err != nil {
 		return err
 	}
@@ -116,7 +132,7 @@ func (c *Cancel) FiredErr() error {
 // the leader keeps computing for everyone else. The already-closed
 // fast path costs no timer; a live deadline allocates one only while
 // actually blocking.
-func (c *Cancel) Wait(done <-chan struct{}) error {
+func (c *Ctx) Wait(done <-chan struct{}) error {
 	select {
 	case <-done:
 		return nil

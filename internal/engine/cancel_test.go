@@ -6,50 +6,69 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestCancelNilAndZeroAreInert(t *testing.T) {
-	var nilCC *Cancel
-	var zero Cancel
+	var nilCX *Ctx
+	var zero Ctx
 	for _, tc := range []struct {
 		name string
-		cc   *Cancel
+		cx   *Ctx
 	}{
-		{"nil", nilCC},
+		{"nil", nilCX},
 		{"zero", &zero},
 	} {
-		if tc.cc.Stopped() {
-			t.Errorf("%s token: Stopped() = true, want false", tc.name)
+		if tc.cx.Stopped() {
+			t.Errorf("%s context: Stopped() = true, want false", tc.name)
 		}
-		if err := tc.cc.Err(); err != nil {
-			t.Errorf("%s token: Err() = %v, want nil", tc.name, err)
+		if err := tc.cx.Err(); err != nil {
+			t.Errorf("%s context: Err() = %v, want nil", tc.name, err)
 		}
 		done := make(chan struct{})
 		close(done)
-		if err := tc.cc.Wait(done); err != nil {
-			t.Errorf("%s token: Wait(closed) = %v, want nil", tc.name, err)
+		if err := tc.cx.Wait(done); err != nil {
+			t.Errorf("%s context: Wait(closed) = %v, want nil", tc.name, err)
+		}
+		// A span on an inert context holds no trace and no start time,
+		// and opening and closing one allocates nothing.
+		if sp := tc.cx.Start(obs.StageEnumFork); sp != (obs.Span{}) {
+			t.Errorf("%s context: Start returned a live span %+v", tc.name, sp)
+		}
+		if n := testing.AllocsPerRun(100, func() { tc.cx.Start(obs.StageSimRun).End() }); n != 0 {
+			t.Errorf("%s context: Start(s).End() allocates %v, want 0", tc.name, n)
 		}
 	}
-	// FiredErr never returns nil, even on an inert token.
-	if err := nilCC.FiredErr(); !IsCanceled(err) {
+	// FiredErr never returns nil, even on an inert context.
+	if err := nilCX.FiredErr(); !IsCanceled(err) {
 		t.Errorf("nil FiredErr() = %v, want a CanceledError", err)
+	}
+	// A context with a trace records into it.
+	var tr obs.Trace
+	cx := NewCtx(nil, 0, &tr)
+	sp := cx.Start(obs.StageSimRun)
+	time.Sleep(time.Millisecond)
+	sp.End()
+	if tr.StageNs(obs.StageSimRun) <= 0 {
+		t.Error("a span on a traced context recorded nothing")
 	}
 }
 
 func TestNewCancelDropsInertConditions(t *testing.T) {
 	// context.Background has a nil Done channel: no condition to watch.
-	cc := NewCancel(context.Background(), 0)
-	if cc.ctx != nil || !cc.deadline.IsZero() {
-		t.Errorf("NewCancel(Background, 0) kept conditions: ctx=%v deadline=%v", cc.ctx, cc.deadline)
+	cx := NewCtx(context.Background(), 0, nil)
+	if cx.ctx != nil || !cx.deadline.IsZero() {
+		t.Errorf("NewCtx(Background, 0) kept conditions: ctx=%v deadline=%v", cx.ctx, cx.deadline)
 	}
-	cc = NewCancel(nil, -time.Second)
-	if cc.ctx != nil || !cc.deadline.IsZero() {
-		t.Error("NewCancel(nil, negative) is not inert")
+	cx = NewCtx(nil, -time.Second, nil)
+	if cx.ctx != nil || !cx.deadline.IsZero() {
+		t.Error("NewCtx(nil, negative) is not inert")
 	}
 }
 
 func TestCancelDeadlineFires(t *testing.T) {
-	cc := NewCancel(nil, time.Nanosecond)
+	cc := NewCtx(nil, time.Nanosecond, nil)
 	time.Sleep(2 * time.Millisecond)
 	if !cc.Stopped() {
 		t.Fatal("deadline passed but Stopped() = false")
@@ -65,7 +84,7 @@ func TestCancelDeadlineFires(t *testing.T) {
 
 func TestCancelContextFires(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cc := NewCancel(ctx, 0)
+	cc := NewCtx(ctx, 0, nil)
 	if cc.Stopped() {
 		t.Fatal("Stopped() before cancel")
 	}
@@ -81,7 +100,7 @@ func TestCancelContextFires(t *testing.T) {
 func TestCancelContextWinsTies(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cc := NewCancel(ctx, time.Nanosecond)
+	cc := NewCtx(ctx, time.Nanosecond, nil)
 	time.Sleep(2 * time.Millisecond) // both conditions have fired
 	if err := cc.Err(); !errors.Is(err, context.Canceled) {
 		t.Errorf("Err() = %v, want the context cause to win", err)
@@ -90,7 +109,7 @@ func TestCancelContextWinsTies(t *testing.T) {
 
 func TestCancelWait(t *testing.T) {
 	// Unfired deadline: Wait blocks until done closes.
-	cc := NewCancel(nil, time.Hour)
+	cc := NewCtx(nil, time.Hour, nil)
 	done := make(chan struct{})
 	go func() {
 		time.Sleep(5 * time.Millisecond)
@@ -101,7 +120,7 @@ func TestCancelWait(t *testing.T) {
 	}
 
 	// Fired deadline, done never closes: Wait returns promptly.
-	cc = NewCancel(nil, time.Nanosecond)
+	cc = NewCtx(nil, time.Nanosecond, nil)
 	time.Sleep(2 * time.Millisecond)
 	start := time.Now()
 	err := cc.Wait(make(chan struct{}))
@@ -114,7 +133,7 @@ func TestCancelWait(t *testing.T) {
 
 	// Context cancellation unblocks Wait mid-block.
 	ctx, cancel := context.WithCancel(context.Background())
-	cc = NewCancel(ctx, 0)
+	cc = NewCtx(ctx, 0, nil)
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		cancel()

@@ -53,7 +53,7 @@ func (h *Harness) explosionArm(label string, opts pathenum.Options, msgs []pathe
 	}
 	row := AblationRow{Label: label}
 	var t1s, tes []float64
-	results, err := enum.EnumerateAll(msgs)
+	results, err := enum.EnumerateAll(msgs, nil)
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -192,7 +192,7 @@ func (h *Harness) ComputeAB4() (hom, het []PairTypeExplosion, err error) {
 	}
 	cl := trace.NewClassifier(homTrace)
 	msgs := h.ablationMessages(h.P.Messages / 2)
-	results, err := enum.EnumerateAll(msgs)
+	results, err := enum.EnumerateAll(msgs, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -209,7 +209,7 @@ func (h *Harness) study(d tracegen.Dataset, workers int) (*Study, error) {
 			}
 			msgs[i] = pathenum.Message{Src: src, Dst: dst, Start: rng.Float64() * genHorizon}
 		}
-		results, err := enum.EnumerateAll(msgs)
+		results, err := enum.EnumerateAll(msgs, nil)
 		if err != nil {
 			return nil, fmt.Errorf("figures: %v %w", d, err)
 		}

@@ -57,9 +57,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// StageNames returns the label of every stage in index order.
-func StageNames() [NumStages]string { return stageNames }
-
 // Trace accumulates per-stage wall time for one request. Spans started
 // from it may run on any goroutine — the batch enumerator fans
 // destinations out across workers — so accumulation is atomic. A nil
@@ -68,9 +65,6 @@ func StageNames() [NumStages]string { return stageNames }
 // pass nil pay one pointer check per span site and nothing else.
 // Traces are reusable via Reset (the serving layer pools them).
 type Trace struct {
-	// ID tags the request in logs and the X-Psn-Request header.
-	ID uint64
-
 	ns        [NumStages]atomic.Int64
 	truncated atomic.Bool
 }

@@ -34,24 +34,19 @@ import (
 // the error of the lowest-index invalid message — exactly what a
 // serial loop would have hit first; messages are validated up front,
 // so no enumeration runs on a batch with any invalid message.
-func (e *Enumerator) EnumerateAll(msgs []Message) ([]*Result, error) {
-	return e.EnumerateAllCancel(msgs, nil, nil)
-}
-
-// EnumerateAllCancel is EnumerateAll with stage spans recorded into ot
-// and a cooperative cancellation token threaded into every group's
-// dynamic program, which polls it at every step boundary and every few
-// hundred extension roots. The shared destination-free prefix advances
-// accumulate under obs.StageEnumPrefix and the per-destination
-// continuations under obs.StageEnumFork; a lone message is a group of
-// one, its steps before the destination's first contact timed as
-// prefix. Groups run concurrently, so the trace's atomic accumulation
-// sums wall time across workers. A nil ot costs one pointer check per
-// phase boundary. Once cc fires the batch abandons: in-flight groups
-// stop at their next checkpoint, queued groups return immediately, and
-// the call reports a *engine.CanceledError with no results. A nil cc —
-// what EnumerateAll passes — is inert.
-func (e *Enumerator) EnumerateAllCancel(msgs []Message, ot *obs.Trace, cc *engine.Cancel) ([]*Result, error) {
+//
+// cx carries the caller's cancellation token and stage trace; nil is
+// inert. The shared destination-free prefix advances accumulate under
+// obs.StageEnumPrefix and the per-destination continuations under
+// obs.StageEnumFork; a lone message is a group of one, its steps
+// before the destination's first contact timed as prefix. Groups run
+// concurrently, so the trace sums wall time across workers. Every
+// group's dynamic program polls the token at every step boundary and
+// every few hundred extension roots; once it fires the batch abandons:
+// in-flight groups stop at their next checkpoint, queued groups return
+// immediately, and the call reports a *engine.CanceledError with no
+// results.
+func (e *Enumerator) EnumerateAll(msgs []Message, cx *engine.Ctx) ([]*Result, error) {
 	for i := range msgs {
 		if err := e.validateMessage(msgs[i]); err != nil {
 			return nil, fmt.Errorf("message %d: %w", i, err)
@@ -75,14 +70,14 @@ func (e *Enumerator) EnumerateAllCancel(msgs []Message, ot *obs.Trace, cc *engin
 	}
 	out := make([]*Result, len(msgs))
 	err := engine.MapErr(e.opt.Workers, len(order), func(gi int) error {
-		if cc.Stopped() {
+		if cx.Stopped() {
 			// Shed queued groups without spinning up their dynamic
 			// programs; groups already running stop at their own
 			// checkpoints.
-			return cc.FiredErr()
+			return cx.FiredErr()
 		}
 		k := order[gi]
-		return e.enumerateGroup(k.src, k.s0, groups[k], msgs, out, ot, cc)
+		return e.enumerateGroup(k.src, k.s0, groups[k], msgs, out, cx)
 	})
 	if err != nil {
 		return nil, err
@@ -99,11 +94,12 @@ func (e *Enumerator) EnumerateAllCancel(msgs []Message, ot *obs.Trace, cc *engin
 // own scratch instead: nothing steps the prefix after it, so a group
 // of one never forks. Forks run strictly one at a time, so the layered
 // arenas never race the base; results are materialized out of each
-// fork before the next advances the base. A fired cc abandons the
-// group at the next checkpoint (prefix or fork alike) and returns a
-// *engine.CanceledError; results already materialized into out stay —
-// the batch call discards them.
-func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs []Message, out []*Result, ot *obs.Trace, cc *engine.Cancel) error {
+// fork before the next advances the base. A fired cx abandons the
+// group at the next checkpoint (prefix or fork alike): step reports
+// "finished", and a re-poll of cx tells that from a real finish. The
+// group then returns a *engine.CanceledError; results already
+// materialized into out stay — the batch call discards them.
+func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs []Message, out []*Result, cx *engine.Ctx) error {
 	type job struct {
 		mi int // index into msgs/out
 		fa int // first step >= s0 at which the destination has contacts
@@ -126,10 +122,10 @@ func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs [
 	}
 	slices.SortStableFunc(jobs, func(a, b job) int { return cmp.Compare(a.fa, b.fa) })
 
-	sp := ot.Start(obs.StageEnumPrefix)
+	sp := cx.Start(obs.StageEnumPrefix)
 	sc0 := e.getScratch()
 	sc0.prepare()
-	sc0.cancel = cc
+	sc0.cx = cx
 	e.seed(sc0, src, s0)
 	sp.End()
 	// Destination-free steps record no arrivals and never finish —
@@ -139,17 +135,17 @@ func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs [
 	cur := s0
 	var fk *scratch
 	for ji, j := range jobs {
-		sp = ot.Start(obs.StageEnumPrefix)
+		sp = cx.Start(obs.StageEnumPrefix)
 		for ; cur < j.fa; cur++ {
 			if e.step(sc0, cur, -1, sink) {
 				break
 			}
 		}
 		sp.End()
-		if sc0.canceled {
+		if cx.Stopped() {
 			break
 		}
-		sp = ot.Start(obs.StageEnumFork)
+		sp = cx.Start(obs.StageEnumFork)
 		sc := sc0
 		if ji < len(jobs)-1 {
 			fk = e.forkScratch(sc0, fk)
@@ -161,7 +157,7 @@ func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs [
 				break
 			}
 		}
-		if sc.canceled {
+		if cx.Stopped() {
 			sp.End()
 			break
 		}
@@ -169,14 +165,13 @@ func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs [
 		out[j.mi] = res
 		sp.End()
 	}
-	canceled := sc0.canceled || (fk != nil && fk.canceled)
 	// The forks' layered arenas aliased sc0's chunks, but every fork is
 	// dead (its arrivals materialized or abandoned) by now, so pooling
 	// sc0 is safe.
-	sc0.cancel = nil
+	sc0.cx = nil
 	e.pool.Put(sc0)
-	if canceled {
-		return cc.FiredErr()
+	if cx.Stopped() {
+		return cx.FiredErr()
 	}
 	return nil
 }
@@ -219,11 +214,8 @@ func (e *Enumerator) forkScratch(base, reuse *scratch) *scratch {
 		}
 		sc.arrivals = sc.arrivals[:0]
 	}
-	// Forks poll the group's token; a reused fork may have been
-	// abandoned canceled, but then the group stops before forking again,
-	// so resetting the flag here is only for symmetry.
-	sc.cancel = base.cancel
-	sc.canceled = false
+	// Forks poll the group's token.
+	sc.cx = base.cx
 	copy(sc.bound, base.bound)
 	copy(sc.stamp, base.stamp)
 	for i, t := range base.table {

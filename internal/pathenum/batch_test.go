@@ -23,7 +23,7 @@ func batchCompare(t *testing.T, tr *trace.Trace, opt Options, msgs []Message, la
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	got, err := batch.EnumerateAll(msgs)
+	got, err := batch.EnumerateAll(msgs, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -152,7 +152,7 @@ func TestBatchNeverActiveDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := enum.EnumerateAll(msgs)
+	results, err := enum.EnumerateAll(msgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

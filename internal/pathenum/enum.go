@@ -173,12 +173,11 @@ type scratch struct {
 	hist  []int32
 	dirty []int32
 
-	// cancel is the run's cooperative cancellation token (nil when the
-	// caller did not pass one); canceled records that a checkpoint saw
-	// it fire, making step report "finished" so the loops unwind. The
-	// scratch is then discarded result-free — prepare resets both.
-	cancel   *engine.Cancel
-	canceled bool
+	// cx is the run's call context (nil when the caller passed none).
+	// Once its token fires step reports "finished" so the loops
+	// unwind; the caller re-polls cx and discards the scratch
+	// result-free.
+	cx *engine.Ctx
 
 	// stamp[i] is the last step whose merge, prune or seed changed
 	// node i's table. Together with the graph's stable-component
@@ -271,7 +270,6 @@ func (sc *scratch) prepare() {
 	// A MaxArrivals stop (or a cancellation checkpoint) can abandon a
 	// step mid-phase; clean the histogram state its accepts left behind.
 	sc.clearHists()
-	sc.canceled = false
 	sc.arrivals = sc.arrivals[:0]
 	sc.arena.reset()
 	sc.rows.reset()
@@ -293,7 +291,7 @@ func NewEnumerator(tr *trace.Trace, opt Options) (*Enumerator, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := stgraph.New(tr, opt.Delta)
+	g, err := stgraph.New(tr, opt.Delta, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -363,24 +361,14 @@ func (e *Enumerator) validateMessage(msg Message) error {
 	return nil
 }
 
-// Enumerate runs the Figure 3 dynamic program for one message.
+// Enumerate runs the Figure 3 dynamic program for one message, as a
+// batch group of one.
 func (e *Enumerator) Enumerate(msg Message) (*Result, error) {
-	return e.enumerate(msg, nil)
-}
-
-// enumerate is Enumerate with a cooperative cancellation token: the
-// dynamic program polls cc at every step boundary (and, within a step,
-// every few hundred extension roots) and abandons with a
-// *engine.CanceledError once it fires. A nil cc costs one branch per
-// checkpoint, and a token that never fires changes nothing: the result
-// is byte-identical to a plain Enumerate. The message runs as a batch
-// group of one.
-func (e *Enumerator) enumerate(msg Message, cc *engine.Cancel) (*Result, error) {
 	if err := e.validateMessage(msg); err != nil {
 		return nil, err
 	}
 	idxs, msgs, out := [1]int{}, [1]Message{msg}, [1]*Result{}
-	if err := e.enumerateGroup(msg.Src, e.g.StepOf(msg.Start), idxs[:], msgs[:], out[:], nil, cc); err != nil {
+	if err := e.enumerateGroup(msg.Src, e.g.StepOf(msg.Start), idxs[:], msgs[:], out[:], nil); err != nil {
 		return nil, err
 	}
 	return out[0], nil
@@ -404,12 +392,11 @@ func (e *Enumerator) seed(sc *scratch, src trace.NodeID, s0 int) {
 // path invalidated).
 func (e *Enumerator) step(sc *scratch, s int, dst trace.NodeID, res *Result) bool {
 	// Cancellation checkpoint, once per step: report "finished" so the
-	// caller's loop unwinds; sc.canceled tells it no result exists.
-	// Mid-phase abandonment is safe by the same argument as the
+	// caller's loop unwinds; re-polling sc.cx tells it no result
+	// exists. Mid-phase abandonment is safe by the same argument as the
 	// MaxArrivals stop — prepare/clearHists reset everything a partial
 	// step leaves behind.
-	if sc.canceled || sc.cancel.Stopped() {
-		sc.canceled = true
+	if sc.cx.Stopped() {
 		return true
 	}
 	n := e.tr.NumNodes
@@ -457,8 +444,7 @@ func (e *Enumerator) step(sc *scratch, s int, dst trace.NodeID, res *Result) boo
 		// traces take milliseconds, so polling every few hundred
 		// extension roots bounds the post-cancel overrun without
 		// measurable cost on the hot path.
-		if i&511 == 511 && sc.cancel.Stopped() {
-			sc.canceled = true
+		if i&511 == 511 && sc.cx.Stopped() {
 			return true
 		}
 		paths := table[i]

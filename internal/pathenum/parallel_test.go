@@ -63,7 +63,7 @@ func TestEnumerateAllSerialEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := enum.EnumerateAll(msgs)
+			results, err := enum.EnumerateAll(msgs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestEnumerateAllDeterministicError(t *testing.T) {
 		{Src: 2, Dst: 2, Start: 0},  // invalid: equal endpoints
 		{Src: 3, Dst: 4, Start: -1}, // invalid: negative start
 	}
-	_, err = enum.EnumerateAll(msgs)
+	_, err = enum.EnumerateAll(msgs, nil)
 	if err == nil || !strings.Contains(err.Error(), "message 1") {
 		t.Errorf("err = %v, want the index-1 failure", err)
 	}
@@ -124,7 +124,7 @@ func TestEnumeratorConcurrentStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g%3 == 0 {
-				results, err := enum.EnumerateAll(msgs)
+				results, err := enum.EnumerateAll(msgs, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -174,7 +174,7 @@ func TestEnumerateAllValidityProperty(t *testing.T) {
 		}
 		opt = opt.withDefaults()
 		msgs := sampleMessages(rng, tr, 4)
-		results, err := enum.EnumerateAll(msgs)
+		results, err := enum.EnumerateAll(msgs, nil)
 		if err != nil {
 			t.Fatalf("case %d (seed %d): %v", c, seed, err)
 		}

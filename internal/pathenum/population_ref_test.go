@@ -97,7 +97,7 @@ func TestWideBatchMatchesChainReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := newRefEnumerator(tr, opt)
-		results, err := enum.EnumerateAll(msgs)
+		results, err := enum.EnumerateAll(msgs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -298,3 +298,86 @@ func TestRelabelingPermutesArrivals(t *testing.T) {
 		}
 	}
 }
+
+// TestShiftByWholeStepsShiftsArrivals is a metamorphic oracle:
+// shifting every contact, the horizon and the message start by m
+// whole steps of Δ only renumbers the steps. On random integer-time
+// traces (so the step arithmetic is exact), for m from 1 to 7, every
+// arrival keeps its node sequence and arrival order, its join and
+// arrival steps move by exactly m, and Exhausted and T1 stay equal —
+// both without truncation and with K and TableWidth small enough to
+// cut tables.
+func TestShiftByWholeStepsShiftsArrivals(t *testing.T) {
+	const delta = 10
+	for _, opt := range []Options{{K: 1 << 20}, {K: 20, TableWidth: 5}} {
+		delivering := 0
+		for seed := int64(0); seed < 300; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n := 3 + rng.Intn(6)
+			const horizon = 300
+			var cs []trace.Contact
+			for i := 5 + rng.Intn(40); i > 0; i-- {
+				a := trace.NodeID(rng.Intn(n))
+				b := trace.NodeID((int(a) + 1 + rng.Intn(n-1)) % n)
+				s := float64(rng.Intn(270))
+				cs = append(cs, trace.Contact{A: a, B: b, Start: s, End: min(s+float64(rng.Intn(60)), horizon)})
+			}
+			src := trace.NodeID(rng.Intn(n))
+			msg := Message{Src: src, Dst: trace.NodeID((int(src) + 1 + rng.Intn(n-1)) % n), Start: float64(rng.Intn(200))}
+			want := enumerateOn(t, n, horizon, cs, msg, opt)
+			if len(want.Arrivals) > 0 {
+				delivering++
+			}
+			for m := 1; m <= 7; m++ {
+				shift := float64(m * delta)
+				moved := slices.Clone(cs)
+				for i := range moved {
+					moved[i].Start += shift
+					moved[i].End += shift
+				}
+				shiftedMsg := msg
+				shiftedMsg.Start += shift
+				got := enumerateOn(t, n, horizon+shift, moved, shiftedMsg, opt)
+				t1, ok := want.T1()
+				gotT1, gotOK := got.T1()
+				if got.Exhausted != want.Exhausted || len(got.Arrivals) != len(want.Arrivals) || gotT1 != t1 || gotOK != ok {
+					t.Fatalf("K %d seed %d m %d: exhausted %v, %d arrivals, T1 %v; want %v, %d, %v",
+						opt.K, seed, m, got.Exhausted, len(got.Arrivals), gotT1, want.Exhausted, len(want.Arrivals), t1)
+				}
+				for i, p := range want.Arrivals {
+					q := got.Arrivals[i]
+					steps := p.Steps()
+					for j := range steps {
+						steps[j] += m
+					}
+					if q.Step != p.Step+m || !slices.Equal(q.Nodes(), p.Nodes()) || !slices.Equal(q.Steps(), steps) {
+						t.Fatalf("K %d seed %d m %d: arrival %d is %v; want %v shifted by %d steps", opt.K, seed, m, i, q, p, m)
+					}
+				}
+			}
+		}
+		// Guard against a vacuous pass: most random traces deliver.
+		if delivering < 150 {
+			t.Fatalf("K %d: only %d of 300 traces delivered", opt.K, delivering)
+		}
+		t.Logf("K %d: %d of 300 traces delivered", opt.K, delivering)
+	}
+}
+
+// enumerateOn enumerates msg over a trace built from cs.
+func enumerateOn(t *testing.T, n int, horizon float64, cs []trace.Contact, msg Message, opt Options) *Result {
+	t.Helper()
+	tr, err := trace.New("shift", n, horizon, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEnumerator(tr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Enumerate(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}

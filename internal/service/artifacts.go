@@ -65,22 +65,22 @@ func newArtifacts(reg *Registry) *artifacts {
 }
 
 // graph returns the indexed space-time graph of a dataset at step
-// delta, building it once. Stage spans land on ot — only for the
-// request that actually triggers the singleflight build; later
+// delta, building it once. Stage spans land on cx's trace — only for
+// the request that actually triggers the singleflight build; later
 // requests get the cached graph and record nothing, which is the
-// truthful attribution. The leader threads its cc into the build, so a
+// truthful attribution. The leader threads its cx into the build, so a
 // canceled leader abandons the build for everyone — the errored slot
 // is unpinned and the next request relaunches it.
-func (a *artifacts) graph(dataset string, delta float64, ot *obs.Trace, cc *engine.Cancel) (*stgraph.Graph, error) {
+func (a *artifacts) graph(dataset string, delta float64, cx *engine.Ctx) (*stgraph.Graph, error) {
 	if delta == 0 {
 		delta = stgraph.DefaultDelta
 	}
-	return a.graphs.get(cc, graphKey{dataset, delta}, func() (*stgraph.Graph, error) {
-		tr, err := a.reg.traceCancel(dataset, cc)
+	return a.graphs.get(cx, graphKey{dataset, delta}, func() (*stgraph.Graph, error) {
+		tr, err := a.reg.trace(dataset, cx)
 		if err != nil {
 			return nil, err
 		}
-		return stgraph.NewWorkersCancel(tr, delta, 0, ot, cc)
+		return stgraph.New(tr, delta, cx)
 	})
 }
 
@@ -88,14 +88,14 @@ func (a *artifacts) graph(dataset string, delta float64, ot *obs.Trace, cc *engi
 // options. Enumerators with different budgets share the per-(dataset,
 // delta) graph index — the expensive part — and each is itself safe
 // for concurrent Enumerate calls.
-func (a *artifacts) enumerator(dataset string, opt pathenum.Options, ot *obs.Trace, cc *engine.Cancel) (*pathenum.Enumerator, error) {
+func (a *artifacts) enumerator(dataset string, opt pathenum.Options, cx *engine.Ctx) (*pathenum.Enumerator, error) {
 	key := enumKey{dataset, opt.Delta, opt.K, opt.TableWidth, opt.MaxArrivals}
-	return a.enums.get(cc, key, func() (*pathenum.Enumerator, error) {
-		tr, err := a.reg.traceCancel(dataset, cc)
+	return a.enums.get(cx, key, func() (*pathenum.Enumerator, error) {
+		tr, err := a.reg.trace(dataset, cx)
 		if err != nil {
 			return nil, err
 		}
-		g, err := a.graph(dataset, opt.Delta, ot, cc)
+		g, err := a.graph(dataset, opt.Delta, cx)
 		if err != nil {
 			return nil, err
 		}
@@ -105,14 +105,15 @@ func (a *artifacts) enumerator(dataset string, opt pathenum.Options, ot *obs.Tra
 
 // sweep returns the dataset's simulation sweep engine: precomputed
 // oracle tables plus pooled per-run simulation state, shared by every
-// /simulate request for the dataset.
-func (a *artifacts) sweep(dataset string, ot *obs.Trace, cc *engine.Cancel) (*dtnsim.Sweep, *trace.Trace, error) {
-	tr, err := a.reg.traceCancel(dataset, cc)
+// /simulate request for the dataset. The build is recorded under
+// obs.StageOracleBuild on cx, since NewSweep takes no context.
+func (a *artifacts) sweep(dataset string, cx *engine.Ctx) (*dtnsim.Sweep, *trace.Trace, error) {
+	tr, err := a.reg.trace(dataset, cx)
 	if err != nil {
 		return nil, nil, err
 	}
-	sw, err := a.sweeps.get(cc, dataset, func() (*dtnsim.Sweep, error) {
-		sp := ot.Start(obs.StageOracleBuild)
+	sw, err := a.sweeps.get(cx, dataset, func() (*dtnsim.Sweep, error) {
+		sp := cx.Start(obs.StageOracleBuild)
 		sw, err := dtnsim.NewSweep(tr)
 		sp.End()
 		return sw, err

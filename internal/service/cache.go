@@ -27,7 +27,7 @@ import (
 // Singleflight is a done channel rather than a sync.Once so waiters
 // can respect their own cancellation token: the entry's creator (the
 // leader) computes synchronously and closes done; every other caller
-// for the same key waits via cc.Wait, abandoning the wait — but never
+// for the same key waits via cx.Wait, abandoning the wait — but never
 // the leader's computation, which finishes for whoever remains — when
 // its request deadline fires or its client disconnects.
 type memoMap[K comparable, V any] struct {
@@ -65,11 +65,11 @@ func newSizedMemoMap[K comparable, V any](max, maxBytes int, size func(V) int) *
 
 // get returns the value for k, computing it at most once while cached.
 // The first caller for an uncached key computes f with its own token
-// live inside; later callers block on that computation via cc.Wait and
-// return their own *engine.CanceledError if cc fires first. Errors are
+// live inside; later callers block on that computation via cx.Wait and
+// return their own *engine.CanceledError if cx fires first. Errors are
 // not pinned: the leader drops a failed entry before publishing it, so
 // the next request recomputes.
-func (c *memoMap[K, V]) get(cc *engine.Cancel, k K, f func() (V, error)) (V, error) {
+func (c *memoMap[K, V]) get(cx *engine.Ctx, k K, f func() (V, error)) (V, error) {
 	if c.max <= 0 {
 		return f()
 	}
@@ -93,7 +93,7 @@ func (c *memoMap[K, V]) get(cc *engine.Cancel, k K, f func() (V, error)) (V, err
 
 	if leader {
 		c.fill(e, f)
-	} else if err := cc.Wait(e.done); err != nil {
+	} else if err := cx.Wait(e.done); err != nil {
 		var zero V
 		return zero, err
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/figures"
 	"repro/internal/forward"
-	"repro/internal/obs"
 	"repro/internal/pathenum"
 	"repro/internal/trace"
 )
@@ -144,8 +143,8 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request, ri *req
 		return
 	}
 	key := enumerateKey(req.Dataset, msgs, opt)
-	data, err := s.results.get(&ri.cancel, key, func() ([]byte, error) {
-		resp, err := s.enumerate(req.Dataset, msgs, opt, &ri.obs, &ri.cancel)
+	data, err := s.results.get(&ri.cx, key, func() ([]byte, error) {
+		resp, err := s.enumerate(req.Dataset, msgs, opt, &ri.cx)
 		if err != nil {
 			return nil, err
 		}
@@ -229,13 +228,13 @@ func enumerateKey(dataset string, msgs []pathenum.Message, opt pathenum.Options)
 // suite can compare byte-for-byte. It runs on the server's Workers:
 // opt.Workers is ignored.
 func (s *Server) Enumerate(dataset string, msgs []pathenum.Message, opt pathenum.Options) (*EnumerateResponse, error) {
-	return s.enumerate(dataset, msgs, opt, nil, nil)
+	return s.enumerate(dataset, msgs, opt, nil)
 }
 
-// enumerate is Enumerate with stage spans recorded into ot and the
-// request's cancellation token threaded through the artifact pipeline
-// and the enumeration dynamic program (both nil-safe).
-func (s *Server) enumerate(dataset string, msgs []pathenum.Message, opt pathenum.Options, ot *obs.Trace, cc *engine.Cancel) (*EnumerateResponse, error) {
+// enumerate is Enumerate under the request's call context cx, threaded
+// through the artifact pipeline and the enumeration dynamic program
+// (nil is inert).
+func (s *Server) enumerate(dataset string, msgs []pathenum.Message, opt pathenum.Options, cx *engine.Ctx) (*EnumerateResponse, error) {
 	opt.Workers = s.cfg.Workers
 	opt, err := opt.Normalized()
 	if err != nil {
@@ -252,7 +251,7 @@ func (s *Server) enumerate(dataset string, msgs []pathenum.Message, opt pathenum
 		return nil, badRequest("%d messages × maxArrivals %d exceeds the %d-arrival batch limit",
 			len(msgs), opt.MaxArrivals, maxBatchArrivals)
 	}
-	tr, err := s.art.reg.traceCancel(dataset, cc)
+	tr, err := s.art.reg.trace(dataset, cx)
 	if err != nil {
 		return nil, err
 	}
@@ -263,11 +262,11 @@ func (s *Server) enumerate(dataset string, msgs []pathenum.Message, opt pathenum
 		return nil, badRequest("delta %g over the %g s horizon is %.3g steps, over the %d-step limit",
 			opt.Delta, tr.Horizon, steps, maxGraphSteps)
 	}
-	enum, err := s.art.enumerator(dataset, opt, ot, cc)
+	enum, err := s.art.enumerator(dataset, opt, cx)
 	if err != nil {
 		return nil, err
 	}
-	results, err := enum.EnumerateAllCancel(msgs, ot, cc)
+	results, err := enum.EnumerateAll(msgs, cx)
 	if err != nil {
 		if engine.IsCanceled(err) {
 			return nil, err
@@ -383,8 +382,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, ri *reqI
 	ri.dataset = req.Dataset
 	req.withDefaults()
 	key := simulateKey(req)
-	data, err := s.results.get(&ri.cancel, key, func() ([]byte, error) {
-		resp, err := s.simulate(req, &ri.obs, &ri.cancel)
+	data, err := s.results.get(&ri.cx, key, func() ([]byte, error) {
+		resp, err := s.simulate(req, &ri.cx)
 		if err != nil {
 			return nil, err
 		}
@@ -426,13 +425,13 @@ func simulateKey(req SimulateRequest) string {
 // in run order, on the server's Workers. Exported for clients and the
 // served-equivalence suite.
 func (s *Server) Simulate(req SimulateRequest) (*SimulateResponse, error) {
-	return s.simulate(req, nil, nil)
+	return s.simulate(req, nil)
 }
 
-// simulate is Simulate with stage spans recorded into ot and the
-// request's cancellation token threaded through the oracle pipeline
-// and each run's event replay (both nil-safe).
-func (s *Server) simulate(req SimulateRequest, ot *obs.Trace, cc *engine.Cancel) (*SimulateResponse, error) {
+// simulate is Simulate under the request's call context cx, threaded
+// through the oracle pipeline and each run's event replay (nil is
+// inert).
+func (s *Server) simulate(req SimulateRequest, cx *engine.Ctx) (*SimulateResponse, error) {
 	req.withDefaults()
 	alg, ok := AlgorithmByName(req.Algorithm)
 	if !ok {
@@ -454,7 +453,7 @@ func (s *Server) simulate(req SimulateRequest, ot *obs.Trace, cc *engine.Cancel)
 	if req.Runs > maxSimulateRuns {
 		return nil, badRequest("%d runs exceed the %d-run limit", req.Runs, maxSimulateRuns)
 	}
-	sweep, tr, err := s.art.sweep(req.Dataset, ot, cc)
+	sweep, tr, err := s.art.sweep(req.Dataset, cx)
 	if err != nil {
 		return nil, err
 	}
@@ -466,17 +465,13 @@ func (s *Server) simulate(req SimulateRequest, ot *obs.Trace, cc *engine.Cancel)
 	runs := make([]*dtnsim.Result, req.Runs)
 	for i := range runs {
 		msgs := dtnsim.Workload(tr, req.Rate, tr.Horizon*req.GenFraction, engine.DeriveSeed(req.Seed, i))
-		// Only the warm replay is timed here: the oracle tables were
-		// timed under obs.StageOracleBuild when the sweep was built.
-		sp := ot.Start(obs.StageSimRun)
 		res, err := sweep.Run(dtnsim.Config{
 			Algorithm: alg,
 			Messages:  msgs,
 			CopyMode:  mode,
 			Workers:   s.cfg.Workers,
-			Cancel:    cc,
+			Ctx:       cx,
 		})
-		sp.End()
 		if err != nil {
 			if engine.IsCanceled(err) {
 				return nil, err

@@ -198,13 +198,12 @@ func (m *metrics) write(w io.Writer, cache *memoMap[string, []byte], reg *Regist
 	// instrumented internal phase (see internal/obs stage docs).
 	fmt.Fprintf(w, "# HELP psn_stage_duration_seconds Per-request time in instrumented internal stages.\n")
 	fmt.Fprintf(w, "# TYPE psn_stage_duration_seconds histogram\n")
-	names := obs.StageNames()
 	for i := range m.stages {
 		s := m.stages[i].Snapshot()
 		if s.Count == 0 {
 			continue
 		}
-		s.WritePrometheus(w, "psn_stage_duration_seconds", fmt.Sprintf("stage=%q", names[i]))
+		s.WritePrometheus(w, "psn_stage_duration_seconds", fmt.Sprintf("stage=%q", obs.Stage(i).String()))
 	}
 
 	writeRuntimeGauges(w)

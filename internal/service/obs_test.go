@@ -319,7 +319,9 @@ func TestRequestIDHeader(t *testing.T) {
 	}
 }
 
-// TestAccessLog checks the opt-in per-request log line.
+// TestAccessLog checks the one per-request log line: TraceSlow 0
+// logs nothing, and 1ns logs every request, probes included, with the
+// request ID, endpoint, status and latency.
 func TestAccessLog(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
@@ -327,22 +329,20 @@ func TestAccessLog(t *testing.T) {
 	s := New(Config{Logger: logger}) // default: off
 	do(t, s, "GET", "/healthz", "")
 	if buf.Len() != 0 {
-		t.Fatalf("access log written while disabled: %s", buf.String())
+		t.Fatalf("request log written while disabled: %s", buf.String())
 	}
 
-	s = New(Config{AccessLog: true, Logger: logger})
+	s = New(Config{TraceSlow: time.Nanosecond, Logger: logger})
 	w := do(t, s, "GET", "/healthz", "")
 	line := buf.String()
 	for _, want := range []string{
-		"msg=request",
-		"method=GET",
-		"path=/healthz",
-		"status=200",
 		"id=" + w.Header().Get("X-Psn-Request"),
+		"endpoint=healthz",
+		"status=200",
 		"latency=",
 	} {
 		if !strings.Contains(line, want) {
-			t.Errorf("access log line missing %q: %s", want, line)
+			t.Errorf("request log line missing %q: %s", want, line)
 		}
 	}
 }

@@ -223,27 +223,27 @@ func (e *UnknownDatasetError) Error() string {
 // calls return a *DegradedError without touching the file until the
 // backoff window ends, and the first build after it is the probe.
 func (r *Registry) Trace(name string) (*trace.Trace, error) {
-	return r.traceCancel(name, nil)
+	return r.trace(name, nil)
 }
 
-// traceCancel is Trace with a cancellation token honored while waiting
+// trace is Trace with cx's cancellation token honored while waiting
 // on another caller's in-progress build: a waiter whose token fires
 // abandons the wait with a *engine.CanceledError while the build keeps
 // running for everyone else. The builder itself runs to completion —
 // dataset builds are shared state, and a half-built trace helps
 // nobody — so a request that starts a build pays for it even if its
 // own deadline passes meanwhile.
-func (r *Registry) traceCancel(name string, cc *engine.Cancel) (*trace.Trace, error) {
+func (r *Registry) trace(name string, cx *engine.Ctx) (*trace.Trace, error) {
 	r.mu.Lock()
 	e, ok := r.entries[name]
 	r.mu.Unlock()
 	if !ok {
 		return nil, &UnknownDatasetError{Name: name, Available: r.Names()}
 	}
-	return e.trace(name, cc)
+	return e.trace(name, cx)
 }
 
-func (e *regEntry) trace(name string, cc *engine.Cancel) (*trace.Trace, error) {
+func (e *regEntry) trace(name string, cx *engine.Ctx) (*trace.Trace, error) {
 	e.mu.Lock()
 	if e.tr != nil || e.err != nil {
 		tr, err := e.tr, e.err
@@ -256,7 +256,7 @@ func (e *regEntry) trace(name string, cc *engine.Cancel) (*trace.Trace, error) {
 	}
 	if f := e.flight; f != nil {
 		e.mu.Unlock()
-		if err := cc.Wait(f.done); err != nil {
+		if err := cx.Wait(f.done); err != nil {
 			return nil, err
 		}
 		return f.tr, f.err

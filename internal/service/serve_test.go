@@ -125,7 +125,7 @@ func TestServedEnumerateEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := enum.EnumerateAll(tc.msgs)
+			results, err := enum.EnumerateAll(tc.msgs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -705,11 +705,11 @@ func TestMetricsExposition(t *testing.T) {
 // enumerators differing only in budget share one graph index.
 func TestEnumeratorGraphSharing(t *testing.T) {
 	s := New(Config{})
-	a, err := s.art.enumerator("dev", pathenum.Options{K: 10}, nil, nil)
+	a, err := s.art.enumerator("dev", pathenum.Options{K: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.art.enumerator("dev", pathenum.Options{K: 99}, nil, nil)
+	b, err := s.art.enumerator("dev", pathenum.Options{K: 99}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,7 +719,7 @@ func TestEnumeratorGraphSharing(t *testing.T) {
 	if a.Graph() != b.Graph() {
 		t.Error("enumerators with different budgets do not share the graph index")
 	}
-	c, err := s.art.enumerator("dev", pathenum.Options{K: 10}, nil, nil)
+	c, err := s.art.enumerator("dev", pathenum.Options{K: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,10 @@ type Config struct {
 	EnablePprof bool
 
 	// TraceSlow, when positive, emits one structured log line (request
-	// ID, endpoint, dataset, status, total latency, per-stage breakdown)
-	// for every request at least this slow. Zero disables slow-request
-	// tracing.
+	// ID, endpoint, dataset, status, total latency, truncation mark,
+	// per-stage breakdown) for every request at least this slow, probe
+	// endpoints included; a nanosecond logs every request. Zero
+	// disables the request log.
 	TraceSlow time.Duration
 
 	// RequestTimeout bounds one experiment request's compute: the
@@ -69,13 +70,8 @@ type Config struct {
 	// the deadline (client disconnects still cancel).
 	RequestTimeout time.Duration
 
-	// AccessLog emits one structured log line per request (method, path,
-	// dataset, status, latency, request ID). Default off: the experiment
-	// endpoints are hot enough that per-request logging is opt-in.
-	AccessLog bool
-
-	// Logger receives access-log and slow-trace lines. Nil means
-	// slog.Default().
+	// Logger receives the TraceSlow request lines and handler panics.
+	// Nil means slog.Default().
 	Logger *slog.Logger
 }
 
@@ -127,14 +123,14 @@ type Server struct {
 
 // reqInfo carries one request's observability and cancellation state:
 // the stage-span trace (embedded by value so pooling recycles it
-// wholesale), the cancellation token experiment handlers thread into
-// the compute layers (also by value — no watcher goroutine, no timer,
-// no allocation), the formatted request ID echoed in X-Psn-Request,
-// and the dataset the handler resolved (for log lines; empty for
-// non-dataset endpoints).
+// wholesale), the call context experiment handlers thread into the
+// compute layers (also by value — no watcher goroutine, no timer, no
+// allocation — and pointing at obs), the formatted request ID echoed
+// in X-Psn-Request, and the dataset the handler resolved (for log
+// lines; empty for non-dataset endpoints).
 type reqInfo struct {
 	obs     obs.Trace
-	cancel  engine.Cancel
+	cx      engine.Ctx
 	idStr   string
 	dataset string
 }
@@ -198,7 +194,7 @@ func (s *Server) Registry() *Registry { return s.cfg.Registry }
 // trace + request ID, the ID echoed in X-Psn-Request before the
 // handler runs), the endpoint's latency histogram (resolved once, at
 // wiring time), stage folding into the global stage histograms, and
-// the optional access-log and slow-trace log lines. A panicking
+// the TraceSlow request log line. A panicking
 // handler is contained to its request: the panic is logged with the
 // request ID and stack, counted in psn_panics_total, and answered 500
 // (when nothing was written yet); accounting runs in the same deferred
@@ -244,7 +240,8 @@ func (s *Server) count(endpoint string, h func(http.ResponseWriter, *http.Reques
 // in-flight semaphore. When the semaphore is full the request is shed
 // immediately with 503 — callers retry against a server that is
 // already making progress on earlier requests. Admitted requests get
-// their cancellation token armed (client connection + RequestTimeout).
+// their call context armed: the token (client connection +
+// RequestTimeout) and the request's stage trace.
 func (s *Server) limited(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
 	return s.count(endpoint, func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 		if s.sem != nil {
@@ -260,7 +257,7 @@ func (s *Server) limited(endpoint string, h func(http.ResponseWriter, *http.Requ
 		}
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
-		ri.cancel = engine.NewCancel(r.Context(), s.cfg.RequestTimeout)
+		ri.cx = engine.NewCtx(r.Context(), s.cfg.RequestTimeout, &ri.obs)
 		h(w, r, ri)
 	})
 }
@@ -282,11 +279,9 @@ func (s *Server) getReqInfo() *reqInfo {
 		ri = new(reqInfo)
 	}
 	ri.obs.Reset()
-	id := s.idTag | s.idSeq.Add(1)&0xffffffff
-	ri.obs.ID = id
-	ri.idStr = formatRequestID(id)
+	ri.idStr = formatRequestID(s.idTag | s.idSeq.Add(1)&0xffffffff)
 	ri.dataset = ""
-	ri.cancel = engine.Cancel{}
+	ri.cx = engine.Ctx{}
 	return ri
 }
 
@@ -302,49 +297,34 @@ func formatRequestID(id uint64) string {
 	return string(b[:])
 }
 
-// logRequest emits the access-log line (when enabled) and, for requests
-// at or past the TraceSlow threshold, one structured line with the
-// request's per-stage time breakdown. Both carry the request ID, so a
-// client holding an X-Psn-Request header can be matched to its server-
-// side trace.
+// logRequest emits, for requests at or past the TraceSlow threshold,
+// one structured line with the request's endpoint, status, latency and
+// per-stage time breakdown. It carries the request ID, so a client
+// holding an X-Psn-Request header can be matched to its server-side
+// trace.
 func (s *Server) logRequest(endpoint string, r *http.Request, ri *reqInfo, status int, d time.Duration) {
-	slow := s.cfg.TraceSlow > 0 && d >= s.cfg.TraceSlow
-	if !slow && !s.cfg.AccessLog {
+	if s.cfg.TraceSlow <= 0 || d < s.cfg.TraceSlow {
 		return
 	}
-	ctx := r.Context()
-	if s.cfg.AccessLog {
-		s.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "request",
-			slog.String("id", ri.idStr),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.String("dataset", ri.dataset),
-			slog.Int("status", status),
-			slog.Duration("latency", d),
-		)
+	attrs := make([]slog.Attr, 0, 6+obs.NumStages)
+	attrs = append(attrs,
+		slog.String("id", ri.idStr),
+		slog.String("endpoint", endpoint),
+		slog.String("dataset", ri.dataset),
+		slog.Int("status", status),
+		slog.Duration("latency", d),
+	)
+	if ri.obs.Truncated() {
+		// A canceled request's stage times cover only the work done
+		// before the abandon checkpoint.
+		attrs = append(attrs, slog.Bool("truncated", true))
 	}
-	if slow {
-		attrs := make([]slog.Attr, 0, 7+obs.NumStages)
-		attrs = append(attrs,
-			slog.String("id", ri.idStr),
-			slog.String("endpoint", endpoint),
-			slog.String("dataset", ri.dataset),
-			slog.Int("status", status),
-			slog.Duration("latency", d),
-		)
-		if ri.obs.Truncated() {
-			// A canceled request's stage times cover only the work done
-			// before the abandon checkpoint.
-			attrs = append(attrs, slog.Bool("truncated", true))
+	for i := 0; i < obs.NumStages; i++ {
+		if ns := ri.obs.StageNs(obs.Stage(i)); ns > 0 {
+			attrs = append(attrs, slog.Duration("stage."+obs.Stage(i).String(), time.Duration(ns)))
 		}
-		names := obs.StageNames()
-		for i := 0; i < obs.NumStages; i++ {
-			if ns := ri.obs.StageNs(obs.Stage(i)); ns > 0 {
-				attrs = append(attrs, slog.Duration("stage."+names[i], time.Duration(ns)))
-			}
-		}
-		s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "slow request", attrs...)
 	}
+	s.cfg.Logger.LogAttrs(r.Context(), slog.LevelWarn, "slow request", attrs...)
 }
 
 // countingWriter records the status code written to a ResponseWriter.
@@ -392,7 +372,7 @@ const statusClientClosedRequest = 499
 func (s *Server) writeHandlerError(w http.ResponseWriter, ri *reqInfo, err error) {
 	if engine.IsCanceled(err) {
 		ri.obs.MarkTruncated()
-		switch own := ri.cancel.Err(); {
+		switch own := ri.cx.Err(); {
 		case own == nil:
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("shared computation canceled, retry: %v", err))

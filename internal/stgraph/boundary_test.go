@@ -60,7 +60,7 @@ func TestBoundaryExactDeltaEnds(t *testing.T) {
 
 		// Spot-check the exclusive-end rule directly on a known pair.
 		single := trace.MustNew("one", 2, 100, []trace.Contact{{A: 0, B: 1, Start: 0, End: 30}})
-		g, err := New(single, delta)
+		g, err := New(single, delta, nil)
 		if err != nil {
 			return false
 		}
@@ -104,7 +104,7 @@ func TestBoundaryZeroDuration(t *testing.T) {
 		assertGraphsEqual(t, "zero-duration", tr, delta)
 
 		boundary := trace.MustNew("zb", 2, 100, []trace.Contact{{A: 0, B: 1, Start: 20, End: 20}})
-		g, err := New(boundary, delta)
+		g, err := New(boundary, delta, nil)
 		if err != nil {
 			return false
 		}
@@ -146,7 +146,7 @@ func TestBoundaryFullHorizonSpan(t *testing.T) {
 			return false
 		}
 		assertGraphsEqual(t, "full-horizon", tr, delta)
-		g, err := New(tr, delta)
+		g, err := New(tr, delta, nil)
 		if err != nil {
 			return false
 		}
@@ -186,7 +186,7 @@ func TestBoundaryDeltaLargerThanHorizon(t *testing.T) {
 			return false
 		}
 		assertGraphsEqual(t, "delta-gt-horizon", tr, delta)
-		g, err := New(tr, delta)
+		g, err := New(tr, delta, nil)
 		if err != nil {
 			return false
 		}

@@ -269,7 +269,7 @@ func (b *refFrameBuilder) buildComponents(f *refFrame) {
 // graph against the reference build.
 func assertGraphsEqual(t *testing.T, label string, tr *trace.Trace, delta float64) {
 	t.Helper()
-	got, err := New(tr, delta)
+	got, err := New(tr, delta, nil)
 	if err != nil {
 		t.Fatalf("%s: New: %v", label, err)
 	}
@@ -435,7 +435,7 @@ func TestGoldenWorkerCounts(t *testing.T) {
 	tr := tracegen.Dev(3)
 	want := refNew(tr, 10)
 	for _, workers := range []int{1, 2, 3, 8} {
-		g, err := NewWorkersCancel(tr, 10, workers, nil, nil)
+		g, err := build(tr, 10, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,24 +116,21 @@ func (f *frame) row(x trace.NodeID) []trace.NodeID {
 // New discretizes a trace with step delta and builds the step index.
 // Following the paper, step index T covers the half-open interval
 // [T·Δ, (T+1)·Δ): a contact active at any point in that interval
-// produces a zero-weight edge at that step.
-func New(tr *trace.Trace, delta float64) (*Graph, error) {
-	return NewWorkersCancel(tr, delta, 0, nil, nil)
+// produces a zero-weight edge at that step. The graph is
+// byte-identical for every worker count of the per-frame fan-out.
+//
+// cx (nil is inert) records the event sweep and the frame fill (CSR
+// rows, components, distance tables, stable-component marks) as
+// obs.StageGraphSweep and obs.StageGraphFrames, and its token is
+// polled at amortized checkpoints of both: once it fires the build
+// abandons with a *engine.CanceledError and no graph.
+func New(tr *trace.Trace, delta float64, cx *engine.Ctx) (*Graph, error) {
+	return build(tr, delta, 0, cx)
 }
 
-// NewWorkersCancel is New with an explicit worker count for the
-// per-frame construction fan-out (0 = GOMAXPROCS, 1 = serial), stage
-// spans recorded into ot and a cooperative cancellation token. The
-// built graph is byte-identical for every worker count. The event
-// sweep (boundary bucketing plus frame-spec emission) and the frame
-// fill (CSR rows, components, distance tables, stable-component marks)
-// are timed separately, so a serving layer can tell which half of a
-// cold build dominates. cc is polled at amortized checkpoints of both
-// build halves; once it fires the build abandons with a
-// *engine.CanceledError and no graph. A nil ot costs one pointer
-// check, a nil cc is inert, and a token that never fires leaves the
-// built graph byte-identical.
-func NewWorkersCancel(tr *trace.Trace, delta float64, workers int, ot *obs.Trace, cc *engine.Cancel) (*Graph, error) {
+// build is New with an explicit worker count for the per-frame
+// construction fan-out (0 = GOMAXPROCS, 1 = serial).
+func build(tr *trace.Trace, delta float64, workers int, cx *engine.Ctx) (*Graph, error) {
 	if delta <= 0 {
 		return nil, fmt.Errorf("stgraph: delta %g must be positive", delta)
 	}
@@ -154,17 +151,18 @@ func NewWorkersCancel(tr *trace.Trace, delta float64, workers int, ot *obs.Trace
 		Steps:     steps,
 		stepFrame: make([]int32, steps),
 	}
-	sp := ot.Start(obs.StageGraphSweep)
+	sp := cx.Start(obs.StageGraphSweep)
 	sw := newSweep(tr, delta, steps)
-	canceled := sw.run(g, cc)
+	sw.run(g, cx)
 	sp.End()
-	if canceled {
-		return nil, cc.FiredErr()
+	if cx.Stopped() {
+		return nil, cx.FiredErr()
 	}
-	sp = ot.Start(obs.StageGraphFrames)
-	if buildFrames(g, sw, tr.NumNodes, workers, cc) {
+	sp = cx.Start(obs.StageGraphFrames)
+	buildFrames(g, sw, tr.NumNodes, workers, cx)
+	if cx.Stopped() {
 		sp.End()
-		return nil, cc.FiredErr()
+		return nil, cx.FiredErr()
 	}
 	markStableComponents(g, sw.framePrev)
 	sp.End()
@@ -507,17 +505,17 @@ func (sw *sweep) remove(i int32) {
 // pair ranks by the earliest contact record covering the step — and
 // the frame-sharing rule (a step shares the previous step's frame iff
 // the ordered key lists are equal; empty steps all share one frame)
-// reproduce the pre-sweep builder exactly. It reports whether the
-// sweep abandoned at a cancellation checkpoint, leaving the graph
-// partially filled — the caller must then discard it.
-func (sw *sweep) run(g *Graph, cc *engine.Cancel) bool {
+// reproduce the pre-sweep builder exactly. Once cx fires it stops at
+// the next checkpoint, leaving the graph partially filled; the caller
+// re-polls cx and discards it.
+func (sw *sweep) run(g *Graph, cx *engine.Ctx) {
 	emptyFrame := int32(-1)
 	var prevKeys []uint64
 	prevValid := false // prevKeys meaningful (s > 0)
 
 	for s := 0; s < sw.steps; s++ {
-		if s&1023 == 1023 && cc.Stopped() {
-			return true
+		if s&1023 == 1023 && cx.Stopped() {
+			return
 		}
 		changed := false
 		for _, i := range sw.endEvents[sw.endIdx[s]:sw.endIdx[s+1]] {
@@ -577,7 +575,6 @@ func (sw *sweep) run(g *Graph, cc *engine.Cancel) bool {
 		prevKeys, prevValid = keys, true
 	}
 	sw.frameOff = append(sw.frameOff, int32(len(sw.pairSlab)))
-	return false
 }
 
 // emitKeys emits the frame whose keys start at pairSlab[mark],
@@ -644,11 +641,11 @@ func (a *arena[T]) alloc(n int) []T {
 // tables and distance matrices from per-worker arenas (their totals
 // are only known after labeling). Every frame writes only its own
 // slab regions, so graph contents are identical for any worker count.
-// A fired cc makes the remaining frames no-ops (MapWorkers cannot stop
-// early) and buildFrames report true; the partial graph must then be
-// discarded. Both stop conditions are monotonic, so a false return
+// A fired cx makes the remaining frames no-ops (MapWorkers cannot stop
+// early); the caller re-polls cx and discards the partial graph. Both
+// stop conditions are monotonic, so a token that has not fired by then
 // guarantees no frame was skipped.
-func buildFrames(g *Graph, sw *sweep, n, workers int, cc *engine.Cancel) bool {
+func buildFrames(g *Graph, sw *sweep, n, workers int, cx *engine.Ctx) {
 	frameOff, pairSlab := sw.frameOff, sw.pairSlab
 	numFrames := len(frameOff) - 1
 	if numFrames < 0 {
@@ -656,7 +653,7 @@ func buildFrames(g *Graph, sw *sweep, n, workers int, cc *engine.Cancel) bool {
 	}
 	g.frames = make([]frame, numFrames)
 	if numFrames == 0 {
-		return false
+		return
 	}
 
 	activeOff := make([]int32, numFrames+1)
@@ -691,7 +688,7 @@ func buildFrames(g *Graph, sw *sweep, n, workers int, cc *engine.Cancel) bool {
 	}
 
 	engine.MapWorkers(nw, numFrames, func(w, i int) {
-		if cc.Stopped() {
+		if cx.Stopped() {
 			return
 		}
 		f := &g.frames[i]
@@ -733,7 +730,6 @@ func buildFrames(g *Graph, sw *sweep, n, workers int, cc *engine.Cancel) bool {
 			b.degree[x], b.cursor[x] = 0, 0
 		}
 	})
-	return cc.Stopped()
 }
 
 // Static distance-matrix codes stored in frame.distRef: every

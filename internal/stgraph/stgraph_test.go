@@ -3,9 +3,13 @@ package stgraph
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
@@ -21,17 +25,17 @@ func mk(t *testing.T, numNodes int, horizon float64, cs []trace.Contact) *trace.
 
 func TestNewRejectsBadDelta(t *testing.T) {
 	tr := mk(t, 3, 100, nil)
-	if _, err := New(tr, 0); err == nil {
+	if _, err := New(tr, 0, nil); err == nil {
 		t.Errorf("delta 0 accepted")
 	}
-	if _, err := New(tr, -5); err == nil {
+	if _, err := New(tr, -5, nil); err == nil {
 		t.Errorf("negative delta accepted")
 	}
 	// A delta whose step count overflows int32 (or is not a number)
 	// must fail before the build sizes its per-step tables.
 	dev := tracegen.Dev(1)
 	for _, delta := range []float64{1e-300, math.NaN()} {
-		if _, err := New(dev, delta); err == nil {
+		if _, err := New(dev, delta, nil); err == nil {
 			t.Errorf("delta %g over horizon %g accepted", delta, dev.Horizon)
 		}
 	}
@@ -39,14 +43,14 @@ func TestNewRejectsBadDelta(t *testing.T) {
 
 func TestStepsCoverHorizon(t *testing.T) {
 	tr := mk(t, 3, 95, nil)
-	g, err := New(tr, 10)
+	g, err := New(tr, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Steps != 10 {
 		t.Errorf("Steps = %d, want 10", g.Steps)
 	}
-	g2, _ := New(mk(t, 3, 100, nil), 10)
+	g2, _ := New(mk(t, 3, 100, nil), 10, nil)
 	if g2.Steps != 10 {
 		t.Errorf("Steps = %d, want 10 for exact horizon", g2.Steps)
 	}
@@ -60,7 +64,7 @@ func TestPaperFigure2Example(t *testing.T) {
 		{A: 0, B: 2, Start: 10, End: 20},
 		{A: 1, B: 2, Start: 10, End: 20},
 	})
-	g, err := New(tr, 10)
+	g, err := New(tr, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestPaperFigure2Example(t *testing.T) {
 
 func TestContactSpanningMultipleSteps(t *testing.T) {
 	tr := mk(t, 2, 100, []trace.Contact{{A: 0, B: 1, Start: 5, End: 35}})
-	g, _ := New(tr, 10)
+	g, _ := New(tr, 10, nil)
 	for s, want := range []bool{true, true, true, true, false} {
 		if got := g.InContact(s, 0, 1); got != want {
 			t.Errorf("step %d contact = %v, want %v", s, got, want)
@@ -89,7 +93,7 @@ func TestContactSpanningMultipleSteps(t *testing.T) {
 
 func TestExclusiveEndOnBoundary(t *testing.T) {
 	tr := mk(t, 2, 100, []trace.Contact{{A: 0, B: 1, Start: 0, End: 20}})
-	g, _ := New(tr, 10)
+	g, _ := New(tr, 10, nil)
 	if !g.InContact(0, 0, 1) || !g.InContact(1, 0, 1) {
 		t.Errorf("contact should cover steps 0 and 1")
 	}
@@ -100,7 +104,7 @@ func TestExclusiveEndOnBoundary(t *testing.T) {
 
 func TestInstantaneousContact(t *testing.T) {
 	tr := mk(t, 2, 100, []trace.Contact{{A: 0, B: 1, Start: 15, End: 15}})
-	g, _ := New(tr, 10)
+	g, _ := New(tr, 10, nil)
 	if !g.InContact(1, 0, 1) {
 		t.Errorf("instantaneous contact lost")
 	}
@@ -111,7 +115,7 @@ func TestDuplicateContactsDeduped(t *testing.T) {
 		{A: 0, B: 1, Start: 0, End: 5},
 		{A: 1, B: 0, Start: 2, End: 8},
 	})
-	g, _ := New(tr, 10)
+	g, _ := New(tr, 10, nil)
 	if got := len(g.Neighbors(0, 0)); got != 1 {
 		t.Errorf("neighbors of 0 at step 0 = %d, want 1", got)
 	}
@@ -122,7 +126,7 @@ func TestDuplicateContactsDeduped(t *testing.T) {
 
 func TestStepOfAndTimeOf(t *testing.T) {
 	tr := mk(t, 2, 100, nil)
-	g, _ := New(tr, 10)
+	g, _ := New(tr, 10, nil)
 	for _, tc := range []struct {
 		t    float64
 		want int
@@ -145,7 +149,7 @@ func TestNeighborInsertionOrder(t *testing.T) {
 		{A: 0, B: 1, Start: 2, End: 10},
 		{A: 0, B: 2, Start: 4, End: 10},
 	})
-	g, _ := New(tr, 10)
+	g, _ := New(tr, 10, nil)
 	got := g.Neighbors(0, 0)
 	want := []trace.NodeID{3, 1, 2}
 	if len(got) != len(want) {
@@ -160,7 +164,7 @@ func TestNeighborInsertionOrder(t *testing.T) {
 
 func TestActiveNodes(t *testing.T) {
 	tr := mk(t, 5, 10, []trace.Contact{{A: 1, B: 3, Start: 0, End: 10}})
-	g, _ := New(tr, 10)
+	g, _ := New(tr, 10, nil)
 	got := g.ActiveNodes(0)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("ActiveNodes = %v, want [1 3]", got)
@@ -174,7 +178,7 @@ func TestFrameSharing(t *testing.T) {
 		{A: 0, B: 1, Start: 0, End: 30},  // steps 0,1,2
 		{A: 1, B: 2, Start: 40, End: 60}, // steps 4,5
 	})
-	g, _ := New(tr, 10)
+	g, _ := New(tr, 10, nil)
 	if g.FrameOf(0) != g.FrameOf(1) || g.FrameOf(1) != g.FrameOf(2) {
 		t.Errorf("steps 0-2 should share a frame: %d %d %d",
 			g.FrameOf(0), g.FrameOf(1), g.FrameOf(2))
@@ -198,7 +202,7 @@ func TestComponentsChainAndIsolated(t *testing.T) {
 		{A: 2, B: 3, Start: 0, End: 10},
 		{A: 4, B: 5, Start: 0, End: 10},
 	})
-	g, _ := New(tr, 10)
+	g, _ := New(tr, 10, nil)
 	v := g.View(0)
 	if v.NumComponents() != 2 {
 		t.Fatalf("NumComponents = %d, want 2", v.NumComponents())
@@ -285,7 +289,7 @@ func TestIndexMatchesNaiveBuildProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := New(tr, 10)
+		g, err := New(tr, 10, nil)
 		if err != nil {
 			return false
 		}
@@ -371,7 +375,7 @@ func TestAdjacencySymmetry(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := New(tr, 10)
+		g, err := New(tr, 10, nil)
 		if err != nil {
 			return false
 		}
@@ -388,5 +392,102 @@ func TestAdjacencySymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSplitContactAtStepBoundary is a metamorphic oracle: splitting a
+// contact at a step boundary inside it covers the same steps, so the
+// graph must not change. On random integer-time traces at Δ 10, every
+// contact crossing a boundary is split at its first interior one, and
+// each step's neighbor sets, active nodes, component member sets and
+// member-pair distances must be equal. Neighbor order, frame count and
+// SameAsPrev marks may differ: the second piece enters the step's
+// canonical order with a later rank. A pair whose first piece ends
+// where its second starts runs the sweep's remove-then-add path within
+// one step.
+func TestSplitContactAtStepBoundary(t *testing.T) {
+	const delta = 10
+	sorted := func(xs []trace.NodeID) []trace.NodeID { return slices.Sorted(slices.Values(xs)) }
+	// components returns the step's member sets, each sorted, in
+	// ascending order of their least member.
+	components := func(v View) [][]trace.NodeID {
+		out := make([][]trace.NodeID, v.NumComponents())
+		for c := range out {
+			out[c] = sorted(v.Members(c))
+		}
+		slices.SortFunc(out, func(a, b []trace.NodeID) int { return int(a[0] - b[0]) })
+		return out
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(8)
+		horizon := float64(delta * (3 + rng.Intn(20)))
+		var cs, split []trace.Contact
+		for i := 2 + rng.Intn(30); i > 0; i-- {
+			a := trace.NodeID(rng.Intn(n))
+			b := trace.NodeID((int(a) + 1 + rng.Intn(n-1)) % n)
+			start := float64(rng.Intn(int(horizon)))
+			end := min(start+float64(rng.Intn(4*delta)), horizon)
+			c := trace.Contact{A: a, B: b, Start: start, End: end}
+			cs = append(cs, c)
+			if cut := (math.Floor(start/delta) + 1) * delta; cut < end {
+				split = append(split, trace.Contact{A: a, B: b, Start: start, End: cut}, trace.Contact{A: a, B: b, Start: cut, End: end})
+			} else {
+				split = append(split, c)
+			}
+		}
+		g, err := New(mk(t, n, horizon, cs), delta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs, err := New(mk(t, n, horizon, split), delta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Steps != gs.Steps {
+			t.Fatalf("seed %d: %d steps, %d after splitting", seed, g.Steps, gs.Steps)
+		}
+		for s := 0; s < g.Steps; s++ {
+			if !slices.Equal(g.ActiveNodes(s), gs.ActiveNodes(s)) {
+				t.Fatalf("seed %d step %d: active nodes %v, %v after splitting", seed, s, g.ActiveNodes(s), gs.ActiveNodes(s))
+			}
+			for x := 0; x < n; x++ {
+				if a, b := sorted(g.Neighbors(s, trace.NodeID(x))), sorted(gs.Neighbors(s, trace.NodeID(x))); !slices.Equal(a, b) {
+					t.Fatalf("seed %d step %d: neighbors of %d %v, %v after splitting", seed, s, x, a, b)
+				}
+			}
+			v, vs := g.View(s), gs.View(s)
+			comps := components(v)
+			if got := components(vs); !reflect.DeepEqual(comps, got) {
+				t.Fatalf("seed %d step %d: components %v, %v after splitting", seed, s, comps, got)
+			}
+			for _, members := range comps {
+				for _, x := range members {
+					for _, y := range members {
+						d := v.Dist(v.ComponentOf(x), v.MemberIndex(x), v.MemberIndex(y))
+						ds := vs.Dist(vs.ComponentOf(x), vs.MemberIndex(x), vs.MemberIndex(y))
+						if d != ds {
+							t.Fatalf("seed %d step %d: dist(%d,%d) %d, %d after splitting", seed, s, x, y, d, ds)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewRecordsGraphStages: a build under a traced context records
+// graph_sweep and graph_frames, and no other stage.
+func TestNewRecordsGraphStages(t *testing.T) {
+	var ot obs.Trace
+	cx := engine.NewCtx(nil, 0, &ot)
+	if _, err := New(tracegen.Dev(9), DefaultDelta, &cx); err != nil {
+		t.Fatal(err)
+	}
+	for s := obs.Stage(0); int(s) < obs.NumStages; s++ {
+		want := s == obs.StageGraphSweep || s == obs.StageGraphFrames
+		if got := ot.StageNs(s) > 0; got != want {
+			t.Errorf("stage %s recorded = %v, want %v", s, got, want)
+		}
 	}
 }

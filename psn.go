@@ -182,11 +182,12 @@ type (
 	// Enumerator enumerates valid forwarding paths for messages. Path
 	// membership is kept as bitset rows in a slab arena, one word per
 	// 64 nodes, so every population runs the identical dynamic
-	// program. EnumerateAll groups a batch by (source, start
-	// step) and shares one destination-free dynamic-program prefix per
-	// group, forking a private continuation per destination at its
-	// first contact step; results are byte-identical to independent
-	// Enumerate calls, in message order, for every worker count.
+	// program. EnumerateAll (library callers pass a nil call
+	// context) groups a batch by (source, start step) and shares one
+	// destination-free dynamic-program prefix per group, forking a
+	// private continuation per destination at its first contact step;
+	// results are byte-identical to independent Enumerate calls, in
+	// message order, for every worker count.
 	Enumerator = pathenum.Enumerator
 	// EnumOptions tunes enumeration (Δ, K, table width).
 	EnumOptions = pathenum.Options
@@ -229,7 +230,7 @@ func NewEnumeratorWithGraph(t *Trace, g *SpaceTimeGraph, opt EnumOptions) (*Enum
 // build their own graph; call this only to inspect the structure
 // directly (Neighbors, InContact, ActiveNodes, View, …).
 func NewSpaceTimeGraph(t *Trace, delta float64) (*SpaceTimeGraph, error) {
-	return stgraph.New(t, delta)
+	return stgraph.New(t, delta, nil)
 }
 
 // Forwarding.
