@@ -22,7 +22,6 @@ import (
 	"repro/internal/dtnsim"
 	"repro/internal/figures"
 	"repro/internal/forward"
-	"repro/internal/pathenum"
 	"repro/internal/tracegen"
 )
 
@@ -33,7 +32,6 @@ func benchParams() figures.Params {
 		Messages: 6,
 		K:        100,
 		SimRuns:  1,
-		MsgRate:  0.05,
 		Seed:     1,
 		Datasets: []tracegen.Dataset{tracegen.Infocom0912, tracegen.Conext0912},
 	}
@@ -119,13 +117,6 @@ func BenchmarkEnumerateConferenceMessage(b *testing.B) { benchsuite.EnumerateCon
 func BenchmarkSpaceTimeGraphBuildLarge(b *testing.B) { benchsuite.SpaceTimeGraphBuildLarge(b) }
 func BenchmarkEnumerateCityMessage(b *testing.B)     { benchsuite.EnumerateCityMessage(b) }
 func BenchmarkSimulateCitySweep(b *testing.B)        { benchsuite.SimulateCitySweep(b) }
-
-// BenchmarkEnumerateNarrowTable is the ablation AB2 configuration
-// (TableWidth ≪ K): tables saturate early, so nearly all work runs
-// through the per-step threshold index rather than path extension.
-func BenchmarkEnumerateNarrowTable(b *testing.B) {
-	benchsuite.EnumerateConference(b, pathenum.Options{K: 2000, TableWidth: 16})
-}
 
 func BenchmarkSimulateEpidemic(b *testing.B) { benchsuite.SimulateEpidemic(b) }
 

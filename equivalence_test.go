@@ -82,7 +82,7 @@ func TestEnumerateAllWorkersEquivalence(t *testing.T) {
 func TestFigureRenderWorkersEquivalence(t *testing.T) {
 	render := func(workers int) []byte {
 		h := psn.NewFigureHarness(psn.FigureParams{
-			Messages: 4, K: 40, SimRuns: 1, MsgRate: 0.02, Seed: 3,
+			Messages: 4, K: 40, SimRuns: 1, Seed: 3,
 			Datasets: []psn.Dataset{psn.Infocom0912, psn.Conext0912},
 			Workers:  workers,
 		})

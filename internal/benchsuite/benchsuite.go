@@ -155,15 +155,8 @@ func EnumerateDevTrace(b *testing.B) {
 // EnumerateConferenceMessage enumerates one explosion-scale message
 // (paper K = 2000) on a conference dataset.
 func EnumerateConferenceMessage(b *testing.B) {
-	EnumerateConference(b, pathenum.Options{K: 2000})
-}
-
-// EnumerateConference enumerates the fixed conference message under
-// custom enumeration options (bench_test.go's AB2 narrow-table arm
-// reuses the same workload with TableWidth 16).
-func EnumerateConference(b *testing.B, opt pathenum.Options) {
 	tr := tracegen.MustGenerate(tracegen.Conext0912)
-	enum, err := pathenum.NewEnumerator(tr, opt)
+	enum, err := pathenum.NewEnumerator(tr, pathenum.Options{K: 2000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -206,12 +199,13 @@ func EnumerateAllWorkers(workers int) func(b *testing.B) {
 }
 
 // EnumerateBatchSharedPrefix enumerates a 16-destination batch sharing
-// one (src, start) — the shape of the paper's per-destination Fig
-// 10/13 sweeps, and the case the batch grouping in
-// pathenum.EnumerateAll exists for: the dynamic program's prefix runs
-// once per group instead of once per message. Contrast with
-// EnumerateAllSerial, whose 16 messages have unique (src, start) pairs
-// and degenerate to independent enumerations.
+// one (src, start) on a conference trace — the shape of /enumerate's
+// batch class (eight destinations from one source at time 0), the one
+// caller the batch grouping in pathenum.EnumerateAll exists for: the
+// dynamic program's prefix runs once per group instead of once per
+// message. Contrast with EnumerateAllSerial, whose 16 messages have
+// unique (src, start) pairs and degenerate to independent
+// enumerations.
 func EnumerateBatchSharedPrefix(b *testing.B) {
 	tr := tracegen.MustGenerate(tracegen.Conext0912)
 	enum, err := pathenum.NewEnumerator(tr, pathenum.Options{K: 500, Workers: 1})

@@ -22,7 +22,7 @@ import (
 func (h *Harness) ablationMessages(n int) []pathenum.Message {
 	tr := h.Trace(h.P.Datasets[0])
 	rng := rand.New(rand.NewSource(h.P.Seed + 9999))
-	gen := tr.Horizon * h.P.GenFraction
+	gen := tr.Horizon * genFraction
 	msgs := make([]pathenum.Message, 0, n)
 	for i := 0; i < n; i++ {
 		src := trace.NodeID(rng.Intn(tr.NumNodes))

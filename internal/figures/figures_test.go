@@ -17,7 +17,6 @@ func testHarness() *Harness {
 		Messages: 8,
 		K:        60,
 		SimRuns:  2,
-		MsgRate:  0.05,
 		Seed:     1,
 		Datasets: []tracegen.Dataset{tracegen.Infocom0912, tracegen.Conext0912},
 	})
@@ -28,7 +27,7 @@ func TestParamsDefaults(t *testing.T) {
 	if p.Messages != 40 || p.K != 2000 || p.SimRuns != 10 {
 		t.Errorf("defaults = %+v", p)
 	}
-	if p.MsgRate != 0.25 || len(p.Datasets) != 4 {
+	if len(p.Datasets) != 4 {
 		t.Errorf("defaults = %+v", p)
 	}
 }
@@ -281,10 +280,11 @@ func TestComputeFig12(t *testing.T) {
 			t.Errorf("epidemic failed on an enumerated-deliverable message")
 			continue
 		}
-		// Epidemic achieves the optimal delay; enumeration's T1 is
-		// measured on the Δ grid, so allow one step of slack.
-		if epi > m.T1+10+1e-9 {
-			t.Errorf("epidemic delay %g exceeds T1 %g + Δ", epi, m.T1)
+		// The lower bound of TestEpidemicBracketsEnumeration: T1 is
+		// measured to the end of the step in which epidemic can first
+		// deliver. Epidemic may deliver much later than T1.
+		if epi < m.T1-10-1e-9 {
+			t.Errorf("epidemic delay %g below T1 %g − Δ", epi, m.T1)
 		}
 	}
 }

@@ -38,11 +38,6 @@ type Params struct {
 	// SimRuns is the number of independent workload seeds averaged in
 	// the forwarding figures (paper: 10).
 	SimRuns int
-	// MsgRate is the workload rate in messages/second (paper: 1 per 4 s).
-	MsgRate float64
-	// GenFraction is the fraction of the trace during which messages
-	// are generated (paper: first 2 of 3 hours).
-	GenFraction float64
 	// Seed drives message sampling.
 	Seed int64
 	// Datasets lists the datasets to analyze; nil means all four.
@@ -65,12 +60,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.SimRuns == 0 {
 		p.SimRuns = 10
-	}
-	if p.MsgRate == 0 {
-		p.MsgRate = 0.25
-	}
-	if p.GenFraction == 0 {
-		p.GenFraction = 2.0 / 3.0
 	}
 	if p.Datasets == nil {
 		p.Datasets = tracegen.Datasets[:]
@@ -199,7 +188,7 @@ func (h *Harness) study(d tracegen.Dataset, workers int) (*Study, error) {
 			return nil, fmt.Errorf("figures: %v: %w", d, err)
 		}
 		rng := rand.New(rand.NewSource(h.P.Seed + int64(d)*1000))
-		genHorizon := tr.Horizon * h.P.GenFraction
+		genHorizon := tr.Horizon * genFraction
 		msgs := make([]pathenum.Message, h.P.Messages)
 		for i := range msgs {
 			src := trace.NodeID(rng.Intn(tr.NumNodes))
@@ -300,12 +289,21 @@ func (h *Harness) Precompute() error {
 	})
 }
 
+// The paper's §6 workload: one message every 4 s (msgRate, in
+// messages/second), created during the first two of each window's
+// three hours (genFraction of the horizon). Study messages start in
+// the same window.
+const (
+	msgRate     = 0.25
+	genFraction = 2.0 / 3.0
+)
+
 // workload draws one run's Poisson messages. Run seeds are split from
 // the base seed per run index (not sequential base+run values), so
 // every run gets a well-separated RNG stream no matter how runs are
 // scheduled across workers.
 func workload(tr *trace.Trace, p Params, run int) []dtnsim.Message {
-	return dtnsim.Workload(tr, p.MsgRate, tr.Horizon*p.GenFraction, engine.DeriveSeed(p.Seed, run))
+	return dtnsim.Workload(tr, msgRate, tr.Horizon*genFraction, engine.DeriveSeed(p.Seed, run))
 }
 
 // AlgorithmOrder is the presentation order used across figures.

@@ -19,7 +19,6 @@ func eqParams(seed int64, workers int) Params {
 		Messages: 6,
 		K:        50,
 		SimRuns:  2,
-		MsgRate:  0.03,
 		Seed:     seed,
 		Datasets: []tracegen.Dataset{tracegen.Infocom0912, tracegen.Conext0912},
 		Workers:  workers,

@@ -166,10 +166,6 @@ func (SprayAndWait) AlwaysForwards() bool { return true }
 // & Schelen): P(a,b) grows on encounters, ages over time, and picks up
 // transitive contributions.
 type PRoPHET struct {
-	// PInit, Beta and Gamma are the protocol constants; zero values
-	// select the RFC 6693 defaults (0.75, 0.25, 0.98 per second unit).
-	PInit, Beta, Gamma float64
-
 	// p is the flat row-major n×n predictability table: p[a*n+b] is
 	// P(a,b). One allocation, and aging walks a contiguous row.
 	p        []float64
@@ -184,29 +180,21 @@ func (p *PRoPHET) row(a trace.NodeID) []float64 {
 
 func (p *PRoPHET) Name() string { return "PRoPHET" }
 
-func (p *PRoPHET) params() (pinit, beta, gamma float64) {
-	pinit, beta, gamma = p.PInit, p.Beta, p.Gamma
-	if pinit == 0 {
-		pinit = 0.75
-	}
-	if beta == 0 {
-		beta = 0.25
-	}
-	if gamma == 0 {
-		gamma = 0.98
-	}
-	return pinit, beta, gamma
-}
+// PRoPHET's protocol constants are the RFC 6693 defaults: the
+// encounter increment P_init, the transitivity scaling β, and the
+// aging factor γ per 100 s of elapsed time (see age).
+const (
+	prophetPInit = 0.75
+	prophetBeta  = 0.25
+	prophetGamma = 0.98
+)
 
 // PRoPHET must stay Stateful: one missing method would otherwise
 // replay it as a stateless rule that never forwards.
 var _ Stateful = (*PRoPHET)(nil)
 
-// Clone implements Stateful: a fresh predictability table with the
-// same protocol constants.
-func (p *PRoPHET) Clone() Algorithm {
-	return &PRoPHET{PInit: p.PInit, Beta: p.Beta, Gamma: p.Gamma}
-}
+// Clone implements Stateful: a fresh predictability table.
+func (p *PRoPHET) Clone() Algorithm { return &PRoPHET{} }
 
 // Reset implements Stateful.
 func (p *PRoPHET) Reset(numNodes int) {
@@ -226,12 +214,11 @@ func (p *PRoPHET) Reset(numNodes int) {
 // measured in units of 100 s so gamma^t does not underflow over
 // multi-hour traces.
 func (p *PRoPHET) age(a trace.NodeID, now float64) {
-	_, _, gamma := p.params()
 	dt := (now - p.lastAged[a]) / 100
 	if dt <= 0 {
 		return
 	}
-	f := math.Pow(gamma, dt)
+	f := math.Pow(prophetGamma, dt)
 	row := p.row(a)
 	for j := range row {
 		row[j] *= f
@@ -245,18 +232,17 @@ func (p *PRoPHET) OnContact(a, b trace.NodeID, now float64) {
 	if p.p == nil {
 		return
 	}
-	pinit, beta, _ := p.params()
 	p.age(a, now)
 	p.age(b, now)
 	rowA, rowB := p.row(a), p.row(b)
-	rowA[b] += (1 - rowA[b]) * pinit
-	rowB[a] += (1 - rowB[a]) * pinit
+	rowA[b] += (1 - rowA[b]) * prophetPInit
+	rowB[a] += (1 - rowB[a]) * prophetPInit
 	for c := 0; c < p.n; c++ {
 		if trace.NodeID(c) == a || trace.NodeID(c) == b {
 			continue
 		}
-		rowA[c] += (1 - rowA[c]) * rowA[b] * rowB[c] * beta
-		rowB[c] += (1 - rowB[c]) * rowB[a] * rowA[c] * beta
+		rowA[c] += (1 - rowA[c]) * rowA[b] * rowB[c] * prophetBeta
+		rowB[c] += (1 - rowB[c]) * rowB[a] * rowA[c] * prophetBeta
 	}
 }
 

@@ -102,15 +102,6 @@ func (t *Trace) Start(s Stage) Span {
 	return Span{t: t, s: s, t0: time.Now()}
 }
 
-// AddNs folds ns nanoseconds into stage s directly (used when the
-// caller already measured the interval). No-op on a nil Trace.
-func (t *Trace) AddNs(s Stage, ns int64) {
-	if t == nil {
-		return
-	}
-	t.ns[s].Add(ns)
-}
-
 // StageNs returns the nanoseconds accumulated for stage s.
 func (t *Trace) StageNs(s Stage) int64 {
 	if t == nil {

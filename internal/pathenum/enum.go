@@ -22,23 +22,15 @@ type Options struct {
 	// Zero means stgraph.DefaultDelta (the paper's 10 s).
 	Delta float64
 
-	// K is the arrival budget: enumeration stops at the end of the
-	// first step by which K paths in total have reached the
-	// destination. Zero means the paper's 2000.
+	// K is the paper's k, the one enumeration budget. It is the arrival
+	// budget: enumeration stops at the end of the first step by which
+	// K paths in total have reached the destination. It is also the
+	// table width: each node keeps its K shortest valid paths (Figure
+	// 3). And enumeration stops at once, even mid-step, when 4·K paths
+	// have arrived; this arrival cap bounds the overshoot in the final
+	// step, where a dense contact component can deliver every table
+	// path at once. Zero means the paper's 2000.
 	K int
-
-	// TableWidth caps the number of shortest valid paths kept per
-	// node. Zero means K, matching the paper (which uses the same k
-	// for the table and the stop rule). Narrower tables trade
-	// completeness of the count for speed (ablation AB2).
-	TableWidth int
-
-	// MaxArrivals hard-caps the number of recorded arrivals; once hit,
-	// enumeration stops immediately (even mid-step). This bounds the
-	// overshoot in the final step, where a dense contact component can
-	// deliver every table path at once. Zero means 4·K, which is
-	// comfortably beyond the paper's T2000 measurement point.
-	MaxArrivals int
 
 	// Workers caps the number of goroutines EnumerateAll uses to
 	// enumerate a message batch concurrently. Zero means
@@ -49,12 +41,11 @@ type Options struct {
 }
 
 // Normalized returns the options with every zero field replaced by
-// its documented default (Δ = 10 s, K = 2000, TableWidth = K,
-// MaxArrivals = 4·K; Workers stays as given), or an error if any
-// field is out of range. Two option values describing the same
-// enumeration normalize identically, so callers that key caches on
-// options — e.g. the serving layer — must key on the normalized form
-// rather than re-deriving the defaults.
+// its documented default (Δ = 10 s, K = 2000; Workers stays as
+// given), or an error if any field is out of range. Two option values
+// describing the same enumeration normalize identically, so callers
+// that key caches on options — e.g. the serving layer — must key on
+// the normalized form rather than re-deriving the defaults.
 func (o Options) Normalized() (Options, error) {
 	o = o.withDefaults()
 	if err := o.validate(); err != nil {
@@ -70,12 +61,6 @@ func (o Options) withDefaults() Options {
 	if o.K == 0 {
 		o.K = 2000
 	}
-	if o.TableWidth == 0 {
-		o.TableWidth = o.K
-	}
-	if o.MaxArrivals == 0 {
-		o.MaxArrivals = 4 * o.K
-	}
 	return o
 }
 
@@ -83,8 +68,8 @@ func (o Options) validate() error {
 	if o.Delta < 0 {
 		return fmt.Errorf("pathenum: negative delta %g", o.Delta)
 	}
-	if o.K < 0 || o.TableWidth < 0 || o.MaxArrivals < 0 {
-		return fmt.Errorf("pathenum: negative K, TableWidth or MaxArrivals")
+	if o.K < 0 {
+		return fmt.Errorf("pathenum: negative K %d", o.K)
 	}
 	return nil
 }
@@ -267,7 +252,7 @@ func (sc *scratch) prepare() {
 		sc.bound[i] = boundInf
 		sc.stamp[i] = -2
 	}
-	// A MaxArrivals stop (or a cancellation checkpoint) can abandon a
+	// An arrival cap stop (or a cancellation checkpoint) can abandon a
 	// step mid-phase; clean the histogram state its accepts left behind.
 	sc.clearHists()
 	sc.arrivals = sc.arrivals[:0]
@@ -302,8 +287,8 @@ func NewEnumerator(tr *trace.Trace, opt Options) (*Enumerator, error) {
 // space-time graph built earlier (by NewSpaceTimeGraph or another
 // enumerator's Graph method). The graph index is the expensive part of
 // enumerator construction and is immutable, so callers that vary only
-// K, TableWidth or MaxArrivals — e.g. a serving layer answering
-// per-request budgets — can share one graph across many enumerators.
+// K — e.g. a serving layer answering per-request budgets — can share
+// one graph across many enumerators.
 // The graph must have been built from tr; a non-zero opt.Delta must
 // match the graph's step (zero adopts it).
 func NewEnumeratorWithGraph(tr *trace.Trace, g *stgraph.Graph, opt Options) (*Enumerator, error) {
@@ -379,7 +364,7 @@ func (e *Enumerator) seed(sc *scratch, src trace.NodeID, s0 int) {
 	row := sc.rows.alloc()
 	sc.rows.set(row, src)
 	sc.table[src] = append(sc.table[src], entry{idx: sc.arena.source(src, s0), row: row})
-	sc.bound[src] = boundOf(sc.table[src], e.opt.TableWidth)
+	sc.bound[src] = boundOf(sc.table[src], e.opt.K)
 	sc.stamp[src] = int32(s0) - 1
 }
 
@@ -394,7 +379,7 @@ func (e *Enumerator) step(sc *scratch, s int, dst trace.NodeID, res *Result) boo
 	// Cancellation checkpoint, once per step: report "finished" so the
 	// caller's loop unwinds; re-polling sc.cx tells it no result
 	// exists. Mid-phase abandonment is safe by the same argument as the
-	// MaxArrivals stop — prepare/clearHists reset everything a partial
+	// arrival cap stop — prepare/clearHists reset everything a partial
 	// step leaves behind.
 	if sc.cx.Stopped() {
 		return true
@@ -402,6 +387,7 @@ func (e *Enumerator) step(sc *scratch, s int, dst trace.NodeID, res *Result) boo
 	n := e.tr.NumNodes
 	v := e.g.View(s)
 	table, cands, thresh := sc.table, sc.cands, sc.thresh
+	arrivalCap := 4 * e.opt.K
 
 	// Compute, for each node with contacts, the largest resident
 	// hop count that could still contribute this step: a path p at
@@ -464,7 +450,7 @@ func (e *Enumerator) step(sc *scratch, s int, dst trace.NodeID, res *Result) boo
 				break
 			}
 			e.extendBFS(sc, v, dst, p, trace.NodeID(i), s, cands, thresh, mustDeliver, dstMax)
-			if len(sc.arrivals) >= e.opt.MaxArrivals {
+			if len(sc.arrivals) >= arrivalCap {
 				res.Exhausted = true
 				return true
 			}
@@ -472,10 +458,10 @@ func (e *Enumerator) step(sc *scratch, s int, dst trace.NodeID, res *Result) boo
 	}
 
 	// Phase 2: merge candidates into the per-node tables, keeping
-	// the TableWidth shortest (by hop count; existing paths win
-	// ties, preserving shorter durations), and restore each merged
-	// node's acceptance bound to its new static table cap.
-	width := e.opt.TableWidth
+	// the K shortest (by hop count; existing paths win ties,
+	// preserving shorter durations), and restore each merged node's
+	// acceptance bound to its new static table cap.
+	width := e.opt.K
 	for i := 0; i < n; i++ {
 		if len(cands[i]) > 0 {
 			table[i] = e.mergeShortest(sc, table[i], cands[i])
@@ -788,7 +774,7 @@ func (e *Enumerator) extendBFS(sc *scratch, v stgraph.View, dst trace.NodeID, p 
 	sc.epoch++
 	epoch := sc.epoch
 	a := &sc.arena
-	width := int32(e.opt.TableWidth)
+	width := int32(e.opt.K)
 	bound := sc.bound
 	// The root is a table entry; caching its membership bitset row makes
 	// the per-neighbor loop check below one word-indexed bit test.
@@ -868,7 +854,7 @@ func (e *Enumerator) extendBFS(sc *scratch, v stgraph.View, dst trace.NodeID, p 
 // consumed in order — are recycled immediately: every entry owns its
 // row exclusively.
 func (e *Enumerator) mergeShortest(sc *scratch, existing, cands []entry) []entry {
-	width := e.opt.TableWidth
+	width := e.opt.K
 	sc.sortByHops(cands)
 	p := len(existing)
 	c0 := cands[0].hops

@@ -163,9 +163,6 @@ func TestNewEnumeratorRejectsBadOptions(t *testing.T) {
 	if _, err := NewEnumerator(tr, Options{K: -1}); err == nil {
 		t.Errorf("negative K accepted")
 	}
-	if _, err := NewEnumerator(tr, Options{TableWidth: -1}); err == nil {
-		t.Errorf("negative width accepted")
-	}
 }
 
 // In-step multi-hop relay: 0-1 and 1-2 overlap in step 0, so the
@@ -333,35 +330,6 @@ func TestEnumerateExhaustedOnBudget(t *testing.T) {
 	}
 	if res.NumPaths() < 3 {
 		t.Errorf("NumPaths = %d, want >= 3", res.NumPaths())
-	}
-}
-
-func TestEnumerateTableWidthLimitsPaths(t *testing.T) {
-	// Same star but table width 1: node tables keep only the shortest
-	// path; arrival count still includes each relay's delivery.
-	cs := []trace.Contact{}
-	for r := trace.NodeID(1); r <= 5; r++ {
-		cs = append(cs,
-			trace.Contact{A: 0, B: r, Start: 0, End: 10},
-			trace.Contact{A: r, B: 6, Start: 20, End: 30},
-		)
-	}
-	tr, _ := trace.New("star", 7, 100, cs)
-	wide := enumFor(t, tr, Options{K: 1000})
-	narrow := enumFor(t, tr, Options{K: 1000, TableWidth: 1})
-	rw, err := wide.Enumerate(Message{Src: 0, Dst: 6, Start: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rn, err := narrow.Enumerate(Message{Src: 0, Dst: 6, Start: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rn.NumPaths() > rw.NumPaths() {
-		t.Errorf("narrow table found more paths (%d) than wide (%d)", rn.NumPaths(), rw.NumPaths())
-	}
-	if rn.NumPaths() == 0 {
-		t.Errorf("narrow table found no paths")
 	}
 }
 

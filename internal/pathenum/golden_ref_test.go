@@ -154,7 +154,7 @@ func (e *refEnumerator) enumerate(msg Message) *Result {
 					break
 				}
 				queue = e.extendBFS(res, p, s, queue, table, cands, thresh)
-				if len(res.Arrivals) >= e.opt.MaxArrivals {
+				if len(res.Arrivals) >= 4*e.opt.K {
 					res.Exhausted = true
 					return res
 				}
@@ -228,7 +228,7 @@ func (e *refEnumerator) computeThresholds(s int, dst trace.NodeID, table [][]*Pa
 				d := depth[cur]
 				if cur != src {
 					capacity := int(extendAll)
-					if t := table[cur]; len(t) >= e.opt.TableWidth {
+					if t := table[cur]; len(t) >= e.opt.K {
 						capacity = t[len(t)-1].Hops
 					}
 					if capacity == int(extendAll) {
@@ -275,7 +275,7 @@ func (e *refEnumerator) extendBFS(res *Result, p *Path, s int, queue []*Path, ta
 			e.visited[nb] = epoch
 			childHops := q.Hops + 1
 			t := table[nb]
-			accept := len(t) < e.opt.TableWidth || t[len(t)-1].Hops > childHops
+			accept := len(t) < e.opt.K || t[len(t)-1].Hops > childHops
 			deeper := thresh[nb] == int(extendAll) || thresh[nb] > childHops
 			if !accept && !deeper {
 				continue
@@ -293,7 +293,7 @@ func (e *refEnumerator) extendBFS(res *Result, p *Path, s int, queue []*Path, ta
 }
 
 func (e *refEnumerator) mergeShortest(existing, cands []*Path) []*Path {
-	width := e.opt.TableWidth
+	width := e.opt.K
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Hops < cands[j].Hops })
 	buf := e.mergeBuf[:0]
 	i, j := 0, 0
@@ -336,7 +336,7 @@ func goldenCompare(t *testing.T, tr *trace.Trace, opt Options, msgs []Message, l
 
 // TestGoldenEquivalenceDatasets pins the indexed enumerator to the
 // pre-index implementation across all four paper datasets, three
-// seeds, and representative Delta/K/TableWidth settings.
+// seeds, and representative Delta/K settings.
 func TestGoldenEquivalenceDatasets(t *testing.T) {
 	opts := []struct {
 		name string
@@ -344,7 +344,7 @@ func TestGoldenEquivalenceDatasets(t *testing.T) {
 	}{
 		{"default", Options{K: 80}},
 		{"delta30", Options{Delta: 30, K: 60}},
-		{"narrowTable", Options{K: 60, TableWidth: 8}},
+		{"narrowTable", Options{K: 8}},
 	}
 	datasets := tracegen.Datasets[:]
 	seeds := []int64{1, 2, 3}
@@ -367,17 +367,16 @@ func TestGoldenEquivalenceDatasets(t *testing.T) {
 }
 
 // TestGoldenEquivalenceDevTrace sweeps more seeds and options on the
-// small development trace, including budget edge cases (tiny K and
-// MaxArrivals, table width 1).
+// small development trace, including budget edge cases (K 1 and 4,
+// where the table holds one or four paths per node).
 func TestGoldenEquivalenceDevTrace(t *testing.T) {
 	opts := []Options{
 		{K: 150},
 		{K: 40},
 		{Delta: 5, K: 60},
 		{Delta: 25, K: 60},
-		{K: 100, TableWidth: 1},
-		{K: 100, TableWidth: 4},
-		{K: 30, MaxArrivals: 35},
+		{K: 1},
+		{K: 4},
 	}
 	for _, seed := range []int64{1, 2, 3, 7, 11} {
 		tr := tracegen.Dev(seed)

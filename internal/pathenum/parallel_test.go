@@ -152,9 +152,9 @@ func TestEnumeratorConcurrentStress(t *testing.T) {
 }
 
 // Property: on random seeded traces, every batch-enumerated path obeys
-// the §4.1 validity rules and the Δ/K/MaxArrivals budgets, and the
-// batch equals the serial loop. Complements the fixed-trace cases in
-// validity_test.go with engine-derived per-case seeds.
+// the §4.1 validity rules, the K budget and the 4·K arrival cap, and
+// the batch equals the serial loop. Complements the fixed-trace cases
+// in validity_test.go with engine-derived per-case seeds.
 func TestEnumerateAllValidityProperty(t *testing.T) {
 	cases := 24
 	if testing.Short() {
@@ -183,11 +183,11 @@ func TestEnumerateAllValidityProperty(t *testing.T) {
 				t.Fatalf("case %d: delta %g, want %g", c, r.Delta, opt.Delta)
 			}
 			checkPathValidity(t, tr, msgs[i], r)
-			// Budget: enumeration never records more than MaxArrivals
-			// paths, and stopping early must be flagged as exhaustion
-			// of the K budget.
-			if n := r.NumPaths(); n > opt.MaxArrivals {
-				t.Fatalf("case %d: %d arrivals exceed MaxArrivals %d", c, n, opt.MaxArrivals)
+			// Budget: enumeration never records more than the 4·K
+			// arrival cap, and stopping early must be flagged as
+			// exhaustion of the K budget.
+			if n := r.NumPaths(); n > 4*opt.K {
+				t.Fatalf("case %d: %d arrivals exceed the arrival cap %d", c, n, 4*opt.K)
 			}
 			if r.Exhausted && r.NumPaths() < opt.K {
 				t.Fatalf("case %d: exhausted with %d < K=%d arrivals", c, r.NumPaths(), opt.K)

@@ -141,9 +141,10 @@ func TestEnumerateValidityProperty(t *testing.T) {
 	}
 }
 
-// Narrowing the table must never find paths a wide table misses, and
-// the first arrival time must be identical (the optimal path always
-// fits any table).
+// K is also the table width. A K of 2 keeps two paths per node and
+// stops within a few arrivals, yet it must never find more paths than
+// K 1000, and its first arrival time must be identical: the optimal
+// path always fits any table (the AB2 method claim).
 func TestTableWidthMonotonicityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -161,7 +162,7 @@ func TestTableWidthMonotonicityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		narrow, err := NewEnumerator(tr, Options{K: 1000, TableWidth: 2})
+		narrow, err := NewEnumerator(tr, Options{K: 2})
 		if err != nil {
 			return false
 		}
@@ -305,11 +306,10 @@ func TestRelabelingPermutesArrivals(t *testing.T) {
 // traces (so the step arithmetic is exact), for m from 1 to 7, every
 // arrival keeps its node sequence and arrival order, its join and
 // arrival steps move by exactly m, and Exhausted and T1 stay equal —
-// both without truncation and with K and TableWidth small enough to
-// cut tables.
+// both without truncation and with K small enough to cut tables.
 func TestShiftByWholeStepsShiftsArrivals(t *testing.T) {
 	const delta = 10
-	for _, opt := range []Options{{K: 1 << 20}, {K: 20, TableWidth: 5}} {
+	for _, opt := range []Options{{K: 1 << 20}, {K: 5}} {
 		delivering := 0
 		for seed := int64(0); seed < 300; seed++ {
 			rng := rand.New(rand.NewSource(seed))

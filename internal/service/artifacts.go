@@ -37,16 +37,14 @@ type graphKey struct {
 }
 
 type enumKey struct {
-	dataset     string
-	delta       float64
-	k           int
-	tableWidth  int
-	maxArrivals int
+	dataset string
+	delta   float64
+	k       int
 }
 
 // Artifact cache bounds. Datasets are a fixed registry set, so the
 // client-controlled dimensions are delta (graphs) and the enumeration
-// budget tuple (enumerators — the heaviest entries, each retaining
+// budget (enumerators — the heaviest entries, each retaining
 // pooled arena scratch). Eviction only costs a rebuild on the next
 // request for that key.
 const (
@@ -89,7 +87,7 @@ func (a *artifacts) graph(dataset string, delta float64, cx *engine.Ctx) (*stgra
 // delta) graph index — the expensive part — and each is itself safe
 // for concurrent Enumerate calls.
 func (a *artifacts) enumerator(dataset string, opt pathenum.Options, cx *engine.Ctx) (*pathenum.Enumerator, error) {
-	key := enumKey{dataset, opt.Delta, opt.K, opt.TableWidth, opt.MaxArrivals}
+	key := enumKey{dataset, opt.Delta, opt.K}
 	return a.enums.get(cx, key, func() (*pathenum.Enumerator, error) {
 		tr, err := a.reg.trace(dataset, cx)
 		if err != nil {

@@ -81,10 +81,8 @@ type EnumerateRequest struct {
 	// Batch form (mutually exclusive with Src/Dst/Start).
 	Messages []MessageJSON `json:"messages,omitempty"`
 
-	Delta       float64 `json:"delta,omitempty"`
-	K           int     `json:"k,omitempty"`
-	TableWidth  int     `json:"tableWidth,omitempty"`
-	MaxArrivals int     `json:"maxArrivals,omitempty"`
+	Delta float64 `json:"delta,omitempty"`
+	K     int     `json:"k,omitempty"`
 }
 
 // PathJSON is one valid space-time path: the node sequence from source
@@ -132,12 +130,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request, ri *req
 		writeError(w, statusOf(err), err)
 		return
 	}
-	opt, err := pathenum.Options{
-		Delta:       req.Delta,
-		K:           req.K,
-		TableWidth:  req.TableWidth,
-		MaxArrivals: req.MaxArrivals,
-	}.Normalized()
+	opt, err := pathenum.Options{Delta: req.Delta, K: req.K}.Normalized()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -169,16 +162,15 @@ const maxBatchMessages = 4096
 // datasets need (city-4k at Δ 5 s has 8,640 steps).
 const maxGraphSteps = 1 << 20
 
-// maxEnumBudget caps k and tableWidth, maxEnumArrivals caps
-// maxArrivals, and maxBatchArrivals caps messages × maxArrivals for one
-// /enumerate request. Each drives the request's allocation and body
-// size, so without them one request could hold gigabytes until its
-// deadline. They sit at the paper's K, its 4·K arrival default, and 32
-// paper-scale messages; larger studies split into several requests.
+// maxEnumBudget caps k, and maxBatchBudget caps messages × k for one
+// /enumerate request. k sets both the table width and the 4·k arrival
+// cap, so together they drive the request's allocation and body size;
+// without them one request could hold gigabytes until its deadline.
+// They sit at the paper's K and 32 paper-scale messages; larger
+// studies split into several requests.
 const (
-	maxEnumBudget    = 2000
-	maxEnumArrivals  = 4 * maxEnumBudget
-	maxBatchArrivals = 32 * maxEnumArrivals
+	maxEnumBudget  = 2000
+	maxBatchBudget = 32 * maxEnumBudget
 )
 
 // enumerateMessages resolves the single/batch request forms.
@@ -215,7 +207,7 @@ func enumerateMessages(req EnumerateRequest) ([]pathenum.Message, error) {
 // this function re-deriving the library defaults.
 func enumerateKey(dataset string, msgs []pathenum.Message, opt pathenum.Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "enumerate|%s|d=%g|k=%d|tw=%d|ma=%d", dataset, opt.Delta, opt.K, opt.TableWidth, opt.MaxArrivals)
+	fmt.Fprintf(&b, "enumerate|%s|d=%g|k=%d", dataset, opt.Delta, opt.K)
 	for _, m := range msgs {
 		fmt.Fprintf(&b, "|%d,%d,%g", m.Src, m.Dst, m.Start)
 	}
@@ -243,13 +235,8 @@ func (s *Server) enumerate(dataset string, msgs []pathenum.Message, opt pathenum
 	switch {
 	case opt.K > maxEnumBudget:
 		return nil, badRequest("k %d exceeds the %d limit", opt.K, maxEnumBudget)
-	case opt.TableWidth > maxEnumBudget:
-		return nil, badRequest("tableWidth %d exceeds the %d limit", opt.TableWidth, maxEnumBudget)
-	case opt.MaxArrivals > maxEnumArrivals:
-		return nil, badRequest("maxArrivals %d exceeds the %d limit", opt.MaxArrivals, maxEnumArrivals)
-	case len(msgs)*opt.MaxArrivals > maxBatchArrivals:
-		return nil, badRequest("%d messages × maxArrivals %d exceeds the %d-arrival batch limit",
-			len(msgs), opt.MaxArrivals, maxBatchArrivals)
+	case len(msgs)*opt.K > maxBatchBudget:
+		return nil, badRequest("%d messages × k %d exceeds the %d batch limit", len(msgs), opt.K, maxBatchBudget)
 	}
 	tr, err := s.art.reg.trace(dataset, cx)
 	if err != nil {

@@ -93,9 +93,9 @@ func TestServedEnumerateEquivalence(t *testing.T) {
 				{Src: 5, Dst: 2, Start: 300.5},
 				{Src: 20, Dst: 3, Start: 0},
 			},
-			opt: pathenum.Options{K: 40, TableWidth: 8},
+			opt: pathenum.Options{K: 8},
 			body: `{"dataset":"dev","messages":[{"src":1,"dst":9,"start":120},{"src":5,"dst":2,"start":300.5},{"src":20,"dst":3,"start":0}],` +
-				`"k":40,"tableWidth":8}`,
+				`"k":8}`,
 		},
 		{
 			dataset: "infocom-3-6",
@@ -347,6 +347,8 @@ var servedErrorCases = []struct {
 	{"trailing garbage", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1} trailing`, http.StatusBadRequest, "after JSON value"},
 	{"trailing on simulate", "POST", "/simulate", `{"dataset":"dev","algorithm":"Epidemic"}[]`, http.StatusBadRequest, "after JSON value"},
 	{"unknown field", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1,"bogus":1}`, http.StatusBadRequest, "bogus"},
+	{"no table width", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":17,"k":10,"tableWidth":5}`, http.StatusBadRequest, "tableWidth"},
+	{"no arrival cap", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":17,"k":10,"maxArrivals":40}`, http.StatusBadRequest, "maxArrivals"},
 	{"missing endpoints", "POST", "/enumerate", `{"dataset":"dev"}`, http.StatusBadRequest, "missing src/dst"},
 	{"src only", "POST", "/enumerate", `{"dataset":"dev","src":3}`, http.StatusBadRequest, "both"},
 	{"equal endpoints", "POST", "/enumerate", `{"dataset":"dev","src":3,"dst":3}`, http.StatusBadRequest, "source equals destination"},
@@ -454,18 +456,16 @@ func TestServedRequestLimits(t *testing.T) {
 func budgetRefusals() map[string]string {
 	var batch strings.Builder
 	batch.WriteString(`{"dataset":"dev","messages":[`)
-	for i := 0; i <= maxBatchArrivals/maxEnumArrivals; i++ {
+	for i := 0; i <= maxBatchBudget/maxEnumBudget; i++ {
 		if i > 0 {
 			batch.WriteByte(',')
 		}
 		batch.WriteString(`{"src":0,"dst":1}`)
 	}
-	fmt.Fprintf(&batch, `],"k":10,"maxArrivals":%d}`, maxEnumArrivals)
+	fmt.Fprintf(&batch, `],"k":%d}`, maxEnumBudget)
 	return map[string]string{
-		"k":              fmt.Sprintf(`{"dataset":"dev","src":0,"dst":17,"k":%d}`, maxEnumBudget+1),
-		"tableWidth":     fmt.Sprintf(`{"dataset":"dev","src":0,"dst":17,"k":10,"tableWidth":%d}`, maxEnumBudget+1),
-		"maxArrivals":    fmt.Sprintf(`{"dataset":"dev","src":0,"dst":17,"k":10,"maxArrivals":%d}`, maxEnumArrivals+1),
-		"batch arrivals": batch.String(),
+		"k":     fmt.Sprintf(`{"dataset":"dev","src":0,"dst":17,"k":%d}`, maxEnumBudget+1),
+		"batch": batch.String(),
 	}
 }
 
@@ -576,7 +576,7 @@ func TestServedConcurrentStress(t *testing.T) {
 	for _, msg := range []string{
 		`{"dataset":"dev","src":0,"dst":17,"start":0,"k":30}`,
 		`{"dataset":"dev","src":4,"dst":11,"start":200,"k":30}`,
-		`{"dataset":"dev","src":9,"dst":1,"start":500,"k":25,"tableWidth":5}`,
+		`{"dataset":"dev","src":9,"dst":1,"start":500,"k":25}`,
 	} {
 		status, want := post(t, ts.URL+"/enumerate", msg)
 		if status != http.StatusOK {

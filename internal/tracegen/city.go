@@ -2,7 +2,6 @@ package tracegen
 
 import (
 	"fmt"
-
 	"math/rand"
 
 	"repro/internal/trace"
@@ -23,97 +22,6 @@ import (
 // as the conference generators, so every analysis in the repository
 // applies unchanged.
 
-// CityClass is one rate class of a city population: a fraction of the
-// nodes drawing per-node contact rates uniformly from [MinRate,
-// MaxRate] contacts/second.
-type CityClass struct {
-	Name             string
-	Fraction         float64
-	MinRate, MaxRate float64
-}
-
-// CityConfig parametrizes the city-scale generator.
-type CityConfig struct {
-	Name     string
-	NumNodes int
-	Horizon  float64 // seconds
-	Classes  []CityClass
-
-	MeanDuration float64 // mean contact duration, seconds
-	MinDuration  float64
-
-	// PeerMixing blends peer selection between rate-weighted and
-	// uniform, exactly as in Config.
-	PeerMixing float64
-
-	Seed int64
-}
-
-// Validate reports whether the configuration is usable.
-func (c *CityConfig) Validate() error {
-	switch {
-	case c.NumNodes < 2:
-		return fmt.Errorf("tracegen: city needs at least 2 nodes, have %d", c.NumNodes)
-	case c.Horizon <= 0:
-		return fmt.Errorf("tracegen: city horizon %g must be positive", c.Horizon)
-	case c.MeanDuration <= 0:
-		return fmt.Errorf("tracegen: city mean duration %g must be positive", c.MeanDuration)
-	case c.MinDuration < 0:
-		return fmt.Errorf("tracegen: city min duration %g must be nonnegative", c.MinDuration)
-	case c.PeerMixing < 0 || c.PeerMixing > 1:
-		return fmt.Errorf("tracegen: city peer mixing %g outside [0,1]", c.PeerMixing)
-	case len(c.Classes) == 0:
-		return fmt.Errorf("tracegen: city needs at least one rate class")
-	}
-	var frac float64
-	for _, cl := range c.Classes {
-		if cl.Fraction < 0 || cl.MinRate < 0 || cl.MaxRate < cl.MinRate {
-			return fmt.Errorf("tracegen: city class %q invalid (fraction %g, rates [%g,%g])",
-				cl.Name, cl.Fraction, cl.MinRate, cl.MaxRate)
-		}
-		frac += cl.Fraction
-	}
-	if frac < 0.999 || frac > 1.001 {
-		return fmt.Errorf("tracegen: city class fractions sum to %g, want 1", frac)
-	}
-	return nil
-}
-
-// CityTrace generates a city-scale trace under cfg. The same
-// configuration and seed always produce the same trace. Class
-// membership is assigned in node order (class 0 first), so stationary
-// hub devices occupy a known ID range like the conference generators'
-// stationary prefix.
-func CityTrace(cfg CityConfig) (*trace.Trace, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	rates := make([]float64, cfg.NumNodes)
-	node := 0
-	for i, cl := range cfg.Classes {
-		count := int(cl.Fraction*float64(cfg.NumNodes) + 0.5)
-		if i == len(cfg.Classes)-1 {
-			count = cfg.NumNodes - node // absorb rounding in the last class
-		}
-		for j := 0; j < count && node < cfg.NumNodes; j++ {
-			rates[node] = cl.MinRate + rng.Float64()*(cl.MaxRate-cl.MinRate)
-			node++
-		}
-	}
-	inner := Config{
-		Name:         cfg.Name,
-		NumNodes:     cfg.NumNodes,
-		Horizon:      cfg.Horizon,
-		MaxRate:      1, // unused by fromRates beyond validation; rates are explicit
-		MeanDuration: cfg.MeanDuration,
-		MinDuration:  cfg.MinDuration,
-		PeerMixing:   cfg.PeerMixing,
-		Seed:         cfg.Seed,
-	}
-	return fromRates(inner, rng, rates)
-}
-
 // cityBaseRate calibrates per-node contact intensity so a 2,000-node,
 // 12-hour city produces just over one million contact records (the
 // class mix below has mean rate ≈0.92·base; records ≈ horizon·Σλ/2).
@@ -126,30 +34,52 @@ func CityTrace(cfg CityConfig) (*trace.Trace, error) {
 // analogue in short-range radio measurements.
 const cityBaseRate = 0.0265
 
-// CityHorizon is the default city observation window (12 hours).
+// CityHorizon is the city observation window (12 hours).
 const CityHorizon = 12 * 3600.0
 
+// cityClasses is the city population's rate mix, in node order (hub
+// devices first, so they occupy a known ID range like the conference
+// generators' stationary prefix): each class is a fraction of the
+// nodes drawing per-node contact rates uniformly from [min, max]
+// contacts/second.
+var cityClasses = [...]struct{ frac, min, max float64 }{
+	{0.03, 3 * cityBaseRate, 5 * cityBaseRate}, // hub
+	{0.25, cityBaseRate, 2.5 * cityBaseRate},   // commuter
+	{0.72, 0, cityBaseRate},                    // resident
+}
+
 // City generates the named city-scale dataset: nodes devices over 12
-// hours in three rate classes — 72% residents Uniform(0, base), 25%
-// commuters Uniform(base, 2.5·base), 3% hub devices Uniform(3·base,
-// 5·base). At 2,000 nodes this yields ≥1M contact records; the count
-// scales linearly with the population. The result is deterministic
-// for a given (nodes, seed).
+// hours in three rate classes — 3% hub devices Uniform(3·base,
+// 5·base), 25% commuters Uniform(base, 2.5·base), 72% residents
+// Uniform(0, base) — with 8 s mean contacts (at least 3 s) and peer
+// mixing 0.25. At 2,000 nodes this yields ≥1M contact records; the
+// count scales linearly with the population. The result is
+// deterministic for a given (nodes, seed).
 func City(nodes int, seed int64) (*trace.Trace, error) {
-	return CityTrace(CityConfig{
-		Name:     fmt.Sprintf("city-%d", nodes),
-		NumNodes: nodes,
-		Horizon:  CityHorizon,
-		Classes: []CityClass{
-			{Name: "hub", Fraction: 0.03, MinRate: 3 * cityBaseRate, MaxRate: 5 * cityBaseRate},
-			{Name: "commuter", Fraction: 0.25, MinRate: cityBaseRate, MaxRate: 2.5 * cityBaseRate},
-			{Name: "resident", Fraction: 0.72, MinRate: 0, MaxRate: cityBaseRate},
-		},
+	if nodes < 2 {
+		return nil, fmt.Errorf("tracegen: city needs at least 2 nodes, have %d", nodes)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	rates := make([]float64, nodes)
+	node := 0
+	for i, cl := range cityClasses {
+		count := int(cl.frac*float64(nodes) + 0.5)
+		if i == len(cityClasses)-1 {
+			count = nodes - node // absorb rounding in the last class
+		}
+		for j := 0; j < count && node < nodes; j++ {
+			rates[node] = cl.min + rng.Float64()*(cl.max-cl.min)
+			node++
+		}
+	}
+	return fromRates(Config{
+		Name:         fmt.Sprintf("city-%d", nodes),
+		NumNodes:     nodes,
+		Horizon:      CityHorizon,
 		MeanDuration: 8,
 		MinDuration:  3,
 		PeerMixing:   0.25,
-		Seed:         seed,
-	})
+	}, rng, rates)
 }
 
 // MustCity is City for static datasets; it panics on error, which

@@ -6,65 +6,29 @@ import (
 	"repro/internal/trace"
 )
 
-func smallCityCfg() CityConfig {
-	return CityConfig{
-		Name:     "mini-city",
-		NumNodes: 300,
-		Horizon:  3600,
-		Classes: []CityClass{
-			{Name: "hub", Fraction: 0.03, MinRate: 3 * cityBaseRate, MaxRate: 5 * cityBaseRate},
-			{Name: "commuter", Fraction: 0.25, MinRate: cityBaseRate, MaxRate: 2.5 * cityBaseRate},
-			{Name: "resident", Fraction: 0.72, MinRate: 0, MaxRate: cityBaseRate},
-		},
-		MeanDuration: 8,
-		MinDuration:  3,
-		PeerMixing:   0.25,
-		Seed:         7,
-	}
-}
-
 func TestCityConfigValidation(t *testing.T) {
-	mod := func(f func(*CityConfig)) CityConfig {
-		c := smallCityCfg()
-		f(&c)
-		return c
-	}
-	for _, tc := range []struct {
-		name string
-		cfg  CityConfig
-	}{
-		{"too few nodes", mod(func(c *CityConfig) { c.NumNodes = 1 })},
-		{"zero horizon", mod(func(c *CityConfig) { c.Horizon = 0 })},
-		{"zero duration", mod(func(c *CityConfig) { c.MeanDuration = 0 })},
-		{"negative min duration", mod(func(c *CityConfig) { c.MinDuration = -1 })},
-		{"bad mixing", mod(func(c *CityConfig) { c.PeerMixing = 1.5 })},
-		{"no classes", mod(func(c *CityConfig) { c.Classes = nil })},
-		{"fractions sum", mod(func(c *CityConfig) { c.Classes[0].Fraction = 0.5 })},
-		{"inverted rates", mod(func(c *CityConfig) { c.Classes[0].MinRate = 1; c.Classes[0].MaxRate = 0.5 })},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := CityTrace(tc.cfg); err == nil {
-				t.Error("invalid config accepted")
-			}
-		})
-	}
+	t.Run("too few nodes", func(t *testing.T) {
+		if _, err := City(1, 7); err == nil {
+			t.Error("one-node city accepted")
+		}
+	})
 }
 
 func TestCityTraceDeterministicAndClassStructured(t *testing.T) {
-	a, err := CityTrace(smallCityCfg())
+	a, err := City(300, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CityTrace(smallCityCfg())
+	b, err := City(300, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() != b.Len() || a.NumNodes != b.NumNodes {
-		t.Fatalf("same config differs: %d/%d vs %d/%d", a.NumNodes, a.Len(), b.NumNodes, b.Len())
+		t.Fatalf("same seed differs: %d/%d vs %d/%d", a.NumNodes, a.Len(), b.NumNodes, b.Len())
 	}
 	for i := range a.Contacts() {
 		if a.Contacts()[i] != b.Contacts()[i] {
-			t.Fatalf("contact %d differs between identical configs", i)
+			t.Fatalf("contact %d differs between identical seeds", i)
 		}
 	}
 
@@ -90,7 +54,7 @@ func TestCityTraceDeterministicAndClassStructured(t *testing.T) {
 // The named City datasets must hit the scale contract the registry,
 // benchmarks and serving layer advertise. Checking the calibration at
 // full 2,000-node scale takes seconds, so it runs only without
-// -short; the miniature config covers the mechanics above.
+// -short; the 300-node city covers the mechanics above.
 func TestCityScaleContract(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale city generation skipped in -short")

@@ -133,11 +133,6 @@ type (
 	GeneratorConfig = tracegen.Config
 	// WaypointConfig parametrizes the random-waypoint baseline.
 	WaypointConfig = tracegen.WaypointConfig
-	// CityConfig parametrizes the city-scale generator (explicit rate
-	// classes over a long horizon).
-	CityConfig = tracegen.CityConfig
-	// CityClass is one rate class of a city population.
-	CityClass = tracegen.CityClass
 )
 
 // The four datasets mirroring the paper's measurement windows.
@@ -169,10 +164,6 @@ func GenerateWaypoint(cfg WaypointConfig) (*Trace, error) { return tracegen.Rand
 // nodes (the registry's city-2k / city-4k entries use seeds of 1).
 func GenerateCity(nodes int, seed int64) (*Trace, error) { return tracegen.City(nodes, seed) }
 
-// GenerateCityTrace runs the city generator with a custom
-// configuration (population, horizon, rate classes).
-func GenerateCityTrace(cfg CityConfig) (*Trace, error) { return tracegen.CityTrace(cfg) }
-
 // DevTrace is a small deterministic conference trace for examples and
 // experimentation (24 nodes, 30 minutes).
 func DevTrace(seed int64) *Trace { return tracegen.Dev(seed) }
@@ -189,7 +180,7 @@ type (
 	// results are byte-identical to independent Enumerate calls, in
 	// message order, for every worker count.
 	Enumerator = pathenum.Enumerator
-	// EnumOptions tunes enumeration (Δ, K, table width).
+	// EnumOptions tunes enumeration (Δ, K, workers).
 	EnumOptions = pathenum.Options
 	// PathMessage identifies one (src, dst, start) forwarding problem.
 	PathMessage = pathenum.Message
@@ -219,8 +210,7 @@ func NewEnumerator(t *Trace, opt EnumOptions) (*Enumerator, error) {
 
 // NewEnumeratorWithGraph prepares path enumeration reusing a space-time
 // graph built earlier — the expensive part of enumerator construction —
-// so callers varying only the enumeration budget (K, TableWidth,
-// MaxArrivals) share one index.
+// so callers varying only the enumeration budget K share one index.
 func NewEnumeratorWithGraph(t *Trace, g *SpaceTimeGraph, opt EnumOptions) (*Enumerator, error) {
 	return pathenum.NewEnumeratorWithGraph(t, g, opt)
 }

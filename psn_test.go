@@ -105,7 +105,7 @@ func TestFacadeFigures(t *testing.T) {
 		t.Fatal("F07 missing")
 	}
 	h := psn.NewFigureHarness(psn.FigureParams{
-		Messages: 4, K: 30, SimRuns: 1, MsgRate: 0.02,
+		Messages: 4, K: 30, SimRuns: 1,
 		Datasets: []psn.Dataset{psn.Conext0912},
 	})
 	var buf bytes.Buffer
@@ -160,7 +160,7 @@ func TestFacadeSpaceTimeGraph(t *testing.T) {
 func TestFigureRenderDeterministic(t *testing.T) {
 	render := func() string {
 		h := psn.NewFigureHarness(psn.FigureParams{
-			Messages: 4, K: 30, SimRuns: 1, MsgRate: 0.02, Seed: 9,
+			Messages: 4, K: 30, SimRuns: 1, Seed: 9,
 			Datasets: []psn.Dataset{psn.Conext0912},
 		})
 		f, _ := psn.LookupFigure("F08")
