@@ -6,7 +6,7 @@
 //
 //	psn-sim -dataset infocom-9-12 -runs 10
 //	psn-sim -trace trace.txt -rate 0.25 -bypair
-//	psn-sim -dataset conext-9-12 -extended -relay
+//	psn-sim -dataset conext-9-12 -relay
 //	psn-sim -dataset city-2k -algo epidemic -runs 2 -rate 0.05
 //
 // -algo filters the algorithm set by case-insensitive substring —
@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -28,18 +29,22 @@ import (
 
 func main() {
 	var (
-		dataset  = flag.String("dataset", "infocom-9-12", "named dataset (ignored with -trace)")
-		traceIn  = flag.String("trace", "", "read a trace file instead of generating one")
-		rate     = flag.Float64("rate", 0.25, "message rate (messages/s; paper: 1 per 4 s)")
-		runs     = flag.Int("runs", 10, "independent workload seeds to average")
-		seed     = flag.Int64("seed", 1, "base workload seed")
-		extended = flag.Bool("extended", false, "include Direct Delivery, Spray and Wait, PRoPHET")
-		algo     = flag.String("algo", "", "only run algorithms whose name contains this substring (case-insensitive)")
-		relay    = flag.Bool("relay", false, "use single-copy relay semantics instead of replication")
-		byPair   = flag.Bool("bypair", false, "split results by in/out pair type")
-		workers  = flag.Int("workers", 0, "worker goroutines per run (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		dataset = flag.String("dataset", "infocom-9-12", "named dataset (ignored with -trace)")
+		traceIn = flag.String("trace", "", "read a trace file instead of generating one")
+		rate    = flag.Float64("rate", 0.25, "message rate (messages/s; paper: 1 per 4 s)")
+		runs    = flag.Int("runs", 10, "independent workload seeds to average")
+		seed    = flag.Int64("seed", 1, "base workload seed")
+		algo    = flag.String("algo", "", "only run algorithms whose name contains this substring (case-insensitive)")
+		relay   = flag.Bool("relay", false, "use single-copy relay semantics instead of replication")
+		byPair  = flag.Bool("bypair", false, "split results by in/out pair type")
+		workers = flag.Int("workers", 0, "worker goroutines per run (0 = GOMAXPROCS, 1 = serial; results are identical)")
 	)
 	flag.Parse()
+	if err := checkWorkload(*runs, *rate); err != nil {
+		fmt.Fprintln(os.Stderr, "psn-sim:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	tr, err := loadTrace(*traceIn, *dataset)
 	if err != nil {
@@ -47,9 +52,6 @@ func main() {
 		os.Exit(1)
 	}
 	algos := psn.PaperAlgorithms()
-	if *extended {
-		algos = psn.AllAlgorithms()
-	}
 	if *algo != "" {
 		var kept []psn.Algorithm
 		for _, a := range algos {
@@ -115,6 +117,20 @@ func main() {
 			}
 		}
 	}
+}
+
+// checkWorkload refuses a run count or message rate that would simulate
+// no message: without it the table prints NaN for every algorithm. An
+// infinite rate is refused too, since its Poisson gaps are all zero and
+// the workload would never end.
+func checkWorkload(runs int, rate float64) error {
+	if runs < 1 {
+		return fmt.Errorf("-runs %d: need at least one run", runs)
+	}
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("-rate %g: need a positive, finite message rate", rate)
+	}
+	return nil
 }
 
 // loadTrace reads a trace file, or resolves a named dataset through

@@ -1,9 +1,8 @@
-// Forwarding: compare all nine forwarding algorithms (the paper's six
-// plus Direct Delivery, Spray and Wait, PRoPHET) on a conference
-// trace, reproducing the paper's §6 observation that very different
-// strategies deliver near-identical success rates and delays — because
-// the path explosion puts many near-optimal paths within every
-// algorithm's reach.
+// Forwarding: compare the paper's six forwarding algorithms
+// (PaperAlgorithms) on a conference trace, reproducing the paper's §6
+// observation that very different strategies deliver near-identical
+// success rates and delays — because the path explosion puts many
+// near-optimal paths within every algorithm's reach.
 package main
 
 import (
@@ -33,7 +32,7 @@ func main() {
 		merged *psn.SimResult
 	}
 	var rows []row
-	for _, alg := range psn.AllAlgorithms() {
+	for _, alg := range psn.PaperAlgorithms() {
 		var all []*psn.SimResult
 		for r := 0; r < runs; r++ {
 			msgs := psn.SimWorkload(tr, rate, tr.Horizon*2/3, int64(r+1))

@@ -16,9 +16,11 @@ const (
 	conferenceMessageBytesBudget = 64 << 20
 
 	// EnumerateBatchSharedPrefix runs 16 continuations off one shared
-	// prefix: 15 forks, recycling one fork scratch across them, and
-	// the base itself, which the last destination continues on;
-	// measured ~22 MB/op. The 64 MB budget bounds the per-batch transient — a
+	// prefix: 15 forks, each drawn from the scratch pool and returned
+	// to it once its arrivals are materialized, and the base itself,
+	// which the last destination continues on; measured ~6.9 MB/op at
+	// 20 iterations (13.7 MB when every group built a fresh fork
+	// scratch). The 64 MB budget bounds the per-batch transient — a
 	// breach means the fork recycling broke and every destination is
 	// paying a full enumeration's scratch again.
 	batchSharedPrefixBytesBudget = 64 << 20

@@ -13,7 +13,7 @@
 // models nodes that never discard messages).
 //
 // The hot path is allocation-free in steady state: per-worker
-// simulation state (the contact View, per-message hop/copy slabs, the
+// simulation state (the contact View, the per-message hop slab, the
 // live-message index, spread queues, event buffers) lives in pooled
 // scratch that a Sweep resets and reuses across runs, so a multi-run
 // parameter sweep pays the oracle tables and the event-sort once and
@@ -78,8 +78,7 @@ type Config struct {
 	// runtime.GOMAXPROCS(0); 1 runs one shard on the calling
 	// goroutine. Messages are independent (infinite buffers, zero
 	// transmission time), so the per-message outcomes — and the
-	// aggregate Result — are byte-identical for every worker count;
-	// each shard replays its own clone of a forward.Stateful algorithm.
+	// aggregate Result — are byte-identical for every worker count.
 	Workers int
 
 	// Ctx optionally carries the caller's cancellation token and
@@ -204,13 +203,14 @@ func (sw *Sweep) Oracle() *Oracle { return sw.oracle }
 // be left nil (it defaults to the sweep's); when set it must match the
 // sweep. The messages fan out in strided shards: shard w of W owns
 // messages w, w+W, … Each shard replays the full contact stream into
-// its own pooled View and its own forward.Instance of the algorithm,
-// so every message sees exactly the state an unsharded run would show
-// it; outcomes land at their global index and transmission counts add
-// up. engine.MapWorkers supplies the fan-out, so a shard panic on a
-// worker goroutine is re-raised on this one instead of killing the
-// process; a single shard runs inline. The replay, not the oracle
-// build in NewSweep, is recorded under obs.StageSimRun on cfg.Ctx.
+// its own pooled View, which the algorithm, a stateless rule shared by
+// every shard, only reads; so every message sees exactly the state an
+// unsharded run would show it. Outcomes land at their global index and
+// transmission counts add up. engine.MapWorkers supplies the fan-out,
+// so a shard panic on a worker goroutine is re-raised on this one
+// instead of killing the process; a single shard runs inline. The
+// replay, not the oracle build in NewSweep, is recorded under
+// obs.StageSimRun on cfg.Ctx.
 func (sw *Sweep) Run(cfg Config) (*Result, error) {
 	if cfg.Trace != nil && cfg.Trace != sw.tr {
 		return nil, fmt.Errorf("dtnsim: sweep run with a different trace")
@@ -219,13 +219,10 @@ func (sw *Sweep) Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("dtnsim: nil algorithm")
 	}
 	tr := sw.tr
-	// Node ids and copy counts are packed into int16 (events, copy
-	// slab); reject what would wrap before replaying anything.
+	// Node ids are packed into int16 event endpoints; reject what would
+	// wrap before replaying anything.
 	if tr.NumNodes > maxPopulation {
 		return nil, fmt.Errorf("dtnsim: %d nodes exceed the simulator's %d-node limit", tr.NumNodes, maxPopulation)
-	}
-	if cb, ok := cfg.Algorithm.(forward.CopyBudget); ok && cb.InitialCopies() > math.MaxInt16 {
-		return nil, fmt.Errorf("dtnsim: copy budget %d exceeds %d", cb.InitialCopies(), math.MaxInt16)
 	}
 	for i, m := range cfg.Messages {
 		if m.Src < 0 || int(m.Src) >= tr.NumNodes || m.Dst < 0 || int(m.Dst) >= tr.NumNodes {
@@ -245,7 +242,7 @@ func (sw *Sweep) Run(cfg Config) (*Result, error) {
 	sims := sw.acquire(workers)
 	engine.MapWorkers(workers, workers, func(_, w int) {
 		s := sims[w]
-		s.reset(forward.Instance(cfg.Algorithm), cfg.CopyMode, sw.oracle, cfg.Messages, w, workers, outcomes)
+		s.reset(cfg.Algorithm, cfg.CopyMode, sw.oracle, cfg.Messages, w, workers, outcomes)
 		s.cx = cfg.Ctx
 		s.run(sw.oracle.events)
 	})
@@ -282,12 +279,12 @@ func (sw *Sweep) acquire(n int) []*sim {
 // release returns sims to the pool, dropping any beyond the retention
 // cap (their scratch is rebuilt on a later acquire if ever needed).
 // Caller-owned references — the run's message and outcome slices and
-// its algorithm instance — are dropped so a long-lived pooled sim
-// (e.g. in a server's cached Sweep) cannot pin them between runs.
+// its algorithm — are dropped so a long-lived pooled sim (e.g. in a
+// server's cached Sweep) cannot pin them between runs.
 func (sw *Sweep) release(sims ...*sim) {
 	sw.mu.Lock()
 	for _, s := range sims {
-		s.alg, s.obs = nil, nil
+		s.alg = nil
 		s.cx = nil
 		s.messages, s.outcomes = nil, nil
 		if sw.pooled < sw.poolCap {
@@ -405,9 +402,9 @@ func rowAdd(row []uint64, n trace.NodeID)      { row[n>>6] |= 1 << (uint(n) & 63
 func rowRemove(row []uint64, n trace.NodeID)   { row[n>>6] &^= 1 << (uint(n) & 63) }
 
 // msgState is one message's mutable state; its holder bitset lives in
-// the sim's dense holders slab, and its per-node hop and copy counters
-// live in the shared hop/copy slabs (rows of n entries) — no
-// per-message heap allocations anywhere.
+// the sim's dense holders slab, and its per-node hop counters live in
+// the shared hop slab (rows of n entries) — no per-message heap
+// allocations anywhere.
 type msgState struct {
 	msg       Message
 	global    int32 // index into the run's outcomes slice
@@ -461,10 +458,7 @@ type sim struct {
 	mode     CopyMode
 	view     *forward.View
 	idleView *forward.View // parked view while a flooding run needs none
-	obs      forward.Stateful
-	sprayL   int  // 0 when the algorithm has no copy budget
-	floods   bool // algorithm always consents (forward.Flooder)
-	fwdAll   bool // floods and no copy budget: every forward check passes
+	floods   bool          // the algorithm is Epidemic: every forward check passes
 	n        int
 
 	open    [][]trace.NodeID // per-node open contacts (multiset)
@@ -475,7 +469,6 @@ type sim struct {
 	wpm     int              // words per heldBy row: ceil(len(msgs)/64)
 	live    liveSet          // created, undelivered messages
 	hops    []int16          // shard×n slab; row i is message i's per-node hop counts
-	copies  []int16          // shard×n slab (copy budgets); empty unless sprayL > 0
 	seen    []uint64         // spread anti-revisit scratch (wpn words)
 	queue   []trace.NodeID   // spread BFS queue (head-indexed, reused)
 	creates []event          // this shard's creation events
@@ -500,29 +493,14 @@ func (s *sim) reset(alg forward.Algorithm, mode CopyMode, oracle *Oracle, messag
 	s.messages, s.outcomes = messages, outcomes
 	s.base, s.stride = base, stride
 	s.sent = 0
+	_, s.floods = alg.(forward.Epidemic)
 
-	s.obs = nil
-	if st, ok := alg.(forward.Stateful); ok {
-		st.Reset(n)
-		s.obs = st
-	}
-	s.sprayL = 0
-	if cb, ok := alg.(forward.CopyBudget); ok {
-		s.sprayL = cb.InitialCopies()
-	}
-	s.floods = false
-	if f, ok := alg.(forward.Flooder); ok {
-		s.floods = f.AlwaysForwards()
-	}
-	s.fwdAll = s.floods && s.sprayL == 0
-
-	// The contact view exists for forwarding decisions, and an
-	// unconditional flooder never makes one: shouldForward is only
-	// reached when !fwdAll, so such runs skip the view entirely —
-	// at city scale its history tables are O(n²) per worker, the
-	// dominant memory of an epidemic run that never reads them.
-	// (Stateful algorithms keep their own state via OnContact.)
-	if s.fwdAll {
+	// The contact view exists for forwarding decisions, and a flooding
+	// run never makes one: Forward is only called when !floods, so such
+	// runs skip the view entirely — at city scale its history tables
+	// are O(n²) per worker, the dominant memory of an epidemic run that
+	// never reads them.
+	if s.floods {
 		if s.view != nil {
 			s.idleView = s.view // keep for a later non-flooding run
 			s.view = nil
@@ -559,9 +537,6 @@ func (s *sim) reset(alg forward.Algorithm, mode CopyMode, oracle *Oracle, messag
 	s.heldBy = growWiped(s.heldBy, n*s.wpm)
 	s.live.reset(count)
 	s.hops = growWiped(s.hops, count*n)
-	if s.sprayL > 0 {
-		s.copies = growWiped(s.copies, count*n)
-	}
 	for j := 0; j < count; j++ {
 		gi := base + j*stride
 		s.msgs[j] = msgState{msg: messages[gi], global: int32(gi)}
@@ -600,9 +575,6 @@ func (s *sim) holderRow(id int) []uint64 {
 
 // hopsRow returns message id's per-node hop counters.
 func (s *sim) hopsRow(id int) []int16 { return s.hops[id*s.n : (id+1)*s.n] }
-
-// copiesRow returns message id's per-node copy budgets.
-func (s *sim) copiesRow(id int) []int16 { return s.copies[id*s.n : (id+1)*s.n] }
 
 // run replays the shared contact events interleaved with this shard's
 // message creations. Only the shard's (few) creation events need
@@ -657,9 +629,6 @@ func (s *sim) contactStart(a, b trace.NodeID, now float64) {
 	if s.view != nil {
 		s.view.Observe(a, b, now)
 	}
-	if s.obs != nil {
-		s.obs.OnContact(a, b, now)
-	}
 	s.open[a] = append(s.open[a], b)
 	s.open[b] = append(s.open[b], a)
 	// The messages that can act at this contact are exactly the live
@@ -713,9 +682,6 @@ func (s *sim) createMessage(id int, now float64) {
 	m := &s.msgs[id]
 	m.created = true
 	s.setHolder(id, m.msg.Src)
-	if s.sprayL > 0 {
-		s.copiesRow(id)[m.msg.Src] = int16(s.sprayL)
-	}
 	s.live.add(id)
 	// The source may already be inside a live contact component;
 	// spread (or deliver, which removes the message from the live set)
@@ -750,7 +716,7 @@ func (s *sim) exchange(id int, holder, peer trace.NodeID, now float64) {
 		s.deliver(id, holder, now)
 		return
 	}
-	if !(s.fwdAll || s.shouldForward(id, holder, peer, now)) {
+	if !(s.floods || s.alg.Forward(s.view, holder, peer, m.msg.Dst)) {
 		return
 	}
 	s.transfer(id, holder, peer)
@@ -794,7 +760,7 @@ func (s *sim) spread(id int, from trace.NodeID, now float64) {
 				s.deliver(id, cur, now)
 				break
 			}
-			if rowHas(s.seen, peer) || !(s.fwdAll || s.shouldForward(id, cur, peer, now)) {
+			if rowHas(s.seen, peer) || !(s.floods || s.alg.Forward(s.view, cur, peer, dst)) {
 				continue
 			}
 			s.transfer(id, cur, peer)
@@ -811,27 +777,11 @@ func (s *sim) spread(id int, from trace.NodeID, now float64) {
 	s.queue = q[:0] // retain any growth for the next propagation
 }
 
-func (s *sim) shouldForward(id int, holder, peer trace.NodeID, now float64) bool {
-	if s.sprayL > 0 && s.copiesRow(id)[holder] <= 1 {
-		return false // wait phase: only direct delivery
-	}
-	if s.floods {
-		return true // flooding algorithm: skip the indirect call
-	}
-	return s.alg.Forward(s.view, holder, peer, s.msgs[id].msg.Dst, now)
-}
-
 func (s *sim) transfer(id int, holder, peer trace.NodeID) {
 	s.sent++
 	s.setHolder(id, peer)
 	hops := s.hopsRow(id)
 	hops[peer] = hops[holder] + 1
-	if s.sprayL > 0 {
-		copies := s.copiesRow(id)
-		half := copies[holder] / 2
-		copies[peer] = half
-		copies[holder] -= half
-	}
 	if s.mode == Relay {
 		s.clearHolder(id, holder)
 	}

@@ -3,7 +3,6 @@ package dtnsim
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -56,12 +55,11 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestRunRejectsInt16Overflow pins the simulator's packing bounds:
-// event endpoints and copy counts are int16, so a population above
-// maxPopulation or a copy budget above 32,767 must be an error before
-// any replay. Unchecked, node 65537 wrapped onto node 1 (a 0→1 message
-// "delivered" over a 0–65537 contact) and node 35000 wrapped negative
-// (an index-out-of-range panic).
+// TestRunRejectsInt16Overflow pins the simulator's packing bound:
+// event endpoints are int16, so a population above maxPopulation must
+// be an error before any replay. Unchecked, node 65537 wrapped onto
+// node 1 (a 0→1 message "delivered" over a 0–65537 contact) and node
+// 35000 wrapped negative (an index-out-of-range panic).
 func TestRunRejectsInt16Overflow(t *testing.T) {
 	msgs := []Message{{Src: 0, Dst: 1, Start: 0}}
 	for _, far := range []trace.NodeID{65537, 35000} {
@@ -86,14 +84,6 @@ func TestRunRejectsInt16Overflow(t *testing.T) {
 	}
 	if !r.Outcomes[0].Delivered || r.Outcomes[0].Delay != 0 {
 		t.Errorf("0→%d over a live contact: %+v", last, r.Outcomes[0])
-	}
-
-	small := mkTrace(t, 4, 100, []trace.Contact{{A: 0, B: 1, Start: 0, End: 50}})
-	if _, err := Run(Config{Trace: small, Algorithm: forward.SprayAndWait{L: math.MaxInt16 + 1}, Messages: msgs}); err == nil {
-		t.Error("copy budget above int16 accepted")
-	}
-	if _, err := Run(Config{Trace: small, Algorithm: forward.SprayAndWait{L: math.MaxInt16}, Messages: msgs}); err != nil {
-		t.Errorf("copy budget %d rejected: %v", math.MaxInt16, err)
 	}
 }
 
@@ -184,13 +174,24 @@ func TestDirectDeliveryWaitsForDestination(t *testing.T) {
 	})
 	r := run(t, Config{
 		Trace:     tr,
-		Algorithm: forward.DirectDelivery{},
+		Algorithm: neverForward{},
 		Messages:  []Message{{Src: 0, Dst: 2, Start: 0}},
 	})
 	o := r.Outcomes[0]
 	if !o.Delivered || o.Delay != 100 {
 		t.Errorf("direct delivery outcome = %+v, want delay 100", o)
 	}
+}
+
+// neverForward is a test-local rule that keeps every message at its
+// source: only minimal progress (§4.1) delivers, when the source meets
+// the destination itself.
+type neverForward struct{}
+
+func (neverForward) Name() string { return "never-forward" }
+
+func (neverForward) Forward(*forward.View, trace.NodeID, trace.NodeID, trace.NodeID) bool {
+	return false
 }
 
 func TestRelayModeMovesCopy(t *testing.T) {
@@ -240,61 +241,6 @@ func TestReplicateModeKeepsCopy(t *testing.T) {
 	})
 	if o := r.Outcomes[0]; !o.Delivered || o.Delay != 30 {
 		t.Errorf("outcome = %+v, want delay 30", o)
-	}
-}
-
-func TestSprayAndWaitBudget(t *testing.T) {
-	// L=2: source sprays one copy to the first peer, then both wait.
-	// Node 2 (second peer) must not receive a copy.
-	tr := mkTrace(t, 5, 300, []trace.Contact{
-		{A: 0, B: 1, Start: 10, End: 15},
-		{A: 0, B: 2, Start: 30, End: 35},
-		{A: 2, B: 4, Start: 50, End: 55},   // 2 would deliver if it had a copy
-		{A: 1, B: 4, Start: 100, End: 105}, // holder 1 delivers
-	})
-	r := run(t, Config{
-		Trace:     tr,
-		Algorithm: forward.SprayAndWait{L: 2},
-		Messages:  []Message{{Src: 0, Dst: 4, Start: 0}},
-	})
-	o := r.Outcomes[0]
-	if !o.Delivered || o.Delay != 100 {
-		t.Errorf("outcome = %+v, want delivery at 100 via node 1", o)
-	}
-}
-
-// Spray and Wait with one logical copy never sprays: the source waits
-// for the destination, exactly as Direct Delivery does. Both copy modes
-// must agree outcome for outcome and transmission for transmission, on
-// the Dev trace and on the four paper datasets.
-func TestSprayOneCopyIsDirectDelivery(t *testing.T) {
-	var traces []*trace.Trace
-	for seed := int64(1); seed <= 3; seed++ {
-		traces = append(traces, tracegen.Dev(seed))
-	}
-	for _, d := range tracegen.Datasets {
-		traces = append(traces, tracegen.MustGenerate(d))
-	}
-	for i, tr := range traces {
-		sw, err := NewSweep(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msgs := Workload(tr, 0.05, tr.Horizon*2/3, int64(i+1))
-		for _, mode := range []CopyMode{Replicate, Relay} {
-			spray, err := sw.Run(Config{Algorithm: forward.SprayAndWait{L: 1}, Messages: msgs, CopyMode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			direct, err := sw.Run(Config{Algorithm: forward.DirectDelivery{}, Messages: msgs, CopyMode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(spray.Outcomes, direct.Outcomes) || spray.Transmissions != direct.Transmissions {
-				t.Errorf("%s/%s: Spray and Wait L=1 (%d transmissions) differs from Direct Delivery (%d)",
-					tr.Name, mode, spray.Transmissions, direct.Transmissions)
-			}
-		}
 	}
 }
 
@@ -380,7 +326,7 @@ func TestEpidemicDominatesProperty(t *testing.T) {
 	algos := []forward.Algorithm{
 		forward.FRESH{}, forward.Greedy{}, forward.GreedyTotal{},
 		forward.GreedyOnline{}, forward.DynamicProgramming{},
-		forward.DirectDelivery{}, forward.SprayAndWait{}, &forward.PRoPHET{},
+		neverForward{},
 	}
 	f := func(seed int64) bool {
 		tr := tracegen.Dev(seed)
@@ -458,7 +404,7 @@ func TestTransmissionsCounted(t *testing.T) {
 	tr := tracegen.Dev(6)
 	msgs := Workload(tr, 0.1, 900, 6)
 	epi := run(t, Config{Trace: tr, Algorithm: forward.Epidemic{}, Messages: msgs})
-	direct := run(t, Config{Trace: tr, Algorithm: forward.DirectDelivery{}, Messages: msgs})
+	direct := run(t, Config{Trace: tr, Algorithm: neverForward{}, Messages: msgs})
 	if epi.Transmissions == 0 {
 		t.Fatalf("epidemic made no transmissions")
 	}
@@ -534,7 +480,7 @@ type meedProbe struct{ finiteReads int }
 
 func (m *meedProbe) Name() string { return "meed-probe" }
 
-func (m *meedProbe) Forward(v *forward.View, holder, peer, dst trace.NodeID, _ float64) bool {
+func (m *meedProbe) Forward(v *forward.View, holder, peer, dst trace.NodeID) bool {
 	if !math.IsInf(v.MEEDDistance(holder, dst), 1) {
 		m.finiteReads++
 	}

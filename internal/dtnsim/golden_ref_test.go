@@ -107,16 +107,9 @@ func refMEEDDistances(tr *trace.Trace) [][]float64 {
 	return dist
 }
 
-// refAlgView adapts the refView to the forward.Algorithm interface via
-// a forward.View carrying the same knowledge: algorithms only read the
-// view through accessor methods, so the reference drives the real
-// algorithm implementations with its own bookkeeping kept in lockstep.
-// To stay truly independent of the rewritten View internals, the
-// reference instead re-implements the six paper decision rules (plus
-// the ablation set's stateless rules) directly against refView; the
-// stateful algorithms (PRoPHET, Spray and Wait's budget, observers) are
-// exercised through their own public interfaces exactly as the old
-// simulator did.
+// To stay independent of the rewritten View internals, the reference
+// re-implements the six paper decision rules directly against refView
+// instead of calling the algorithms' Forward methods.
 type refEvent struct {
 	time float64
 	kind eventKind
@@ -152,7 +145,6 @@ type refMsgState struct {
 	// The live simulator fixed the overflow, so the reference carries
 	// the same fix — everything else is the pre-refactor algorithm.
 	hops      []int16
-	copies    []int16
 	delivered bool
 	created   bool
 }
@@ -161,8 +153,6 @@ type refSim struct {
 	alg      forward.Algorithm
 	mode     CopyMode
 	view     *refView
-	obs      forward.Stateful
-	sprayL   int
 	open     [][]trace.NodeID
 	msgs     []refMsgState
 	live     map[int]bool
@@ -171,11 +161,11 @@ type refSim struct {
 }
 
 // refForward evaluates the forwarding rule against the reference view.
-// Stateless paper algorithms are re-implemented here from §6's
-// definitions; algorithms with their own state (PRoPHET) are called
-// directly — they never read the View.
-func (s *refSim) refForward(holder, peer, dst trace.NodeID, now float64) bool {
-	switch a := s.alg.(type) {
+// The paper's six algorithms are re-implemented here from §6's
+// definitions; any other algorithm panics, so a new rule cannot pass
+// the golden suite without a reference of its own.
+func (s *refSim) refForward(holder, peer, dst trace.NodeID) bool {
+	switch s.alg.(type) {
 	case forward.Epidemic:
 		return true
 	case forward.FRESH:
@@ -188,12 +178,8 @@ func (s *refSim) refForward(holder, peer, dst trace.NodeID, now float64) bool {
 		return s.view.soFar[peer] > s.view.soFar[holder]
 	case forward.DynamicProgramming:
 		return s.view.meedDist[peer][dst] < s.view.meedDist[holder][dst]
-	case forward.DirectDelivery:
-		return false
-	case forward.SprayAndWait:
-		return true
 	default:
-		return a.Forward(nil, holder, peer, dst, now)
+		panic("golden reference: no reference rule for " + s.alg.Name())
 	}
 }
 
@@ -222,23 +208,11 @@ func refRun(tr *trace.Trace, alg forward.Algorithm, msgs []Message, mode CopyMod
 	}
 	s.view.totals = totals
 	s.view.meedDist = meed
-	if st, ok := alg.(forward.Stateful); ok {
-		st.Reset(n)
-	}
-	if o, ok := alg.(forward.Stateful); ok {
-		s.obs = o
-	}
-	if cb, ok := alg.(forward.CopyBudget); ok {
-		s.sprayL = cb.InitialCopies()
-	}
 	s.msgs = make([]refMsgState, len(msgs))
 	s.outcomes = make([]Outcome, len(msgs))
 	for i, m := range msgs {
 		s.msgs[i].msg = m
 		s.msgs[i].hops = make([]int16, n)
-		if s.sprayL > 0 {
-			s.msgs[i].copies = make([]int16, n)
-		}
 		s.outcomes[i] = Outcome{Msg: m}
 	}
 
@@ -271,9 +245,6 @@ func refRun(tr *trace.Trace, alg forward.Algorithm, msgs []Message, mode CopyMod
 
 func (s *refSim) refContactStart(a, b trace.NodeID, now float64) {
 	s.view.observe(a, b, now)
-	if s.obs != nil {
-		s.obs.OnContact(a, b, now)
-	}
 	s.open[a] = append(s.open[a], b)
 	s.open[b] = append(s.open[b], a)
 	for id := range s.live {
@@ -301,9 +272,6 @@ func (s *refSim) refCreateMessage(id int, now float64) {
 	m := &s.msgs[id]
 	m.created = true
 	m.holders.add(m.msg.Src)
-	if s.sprayL > 0 {
-		m.copies[m.msg.Src] = int16(s.sprayL)
-	}
 	s.live[id] = true
 	var seen refHolderSet
 	seen.add(m.msg.Src)
@@ -319,7 +287,7 @@ func (s *refSim) refExchange(id int, holder, peer trace.NodeID, now float64) {
 		s.refDeliver(id, holder, now)
 		return
 	}
-	if !s.refShouldForward(id, holder, peer, now) {
+	if !s.refForward(holder, peer, m.msg.Dst) {
 		return
 	}
 	s.refTransfer(id, holder, peer)
@@ -352,7 +320,7 @@ func (s *refSim) refSpread(id int, from trace.NodeID, now float64, seen refHolde
 				s.refDeliver(id, cur, now)
 				return
 			}
-			if seen.has(peer) || !s.refShouldForward(id, cur, peer, now) {
+			if seen.has(peer) || !s.refForward(cur, peer, m.msg.Dst) {
 				continue
 			}
 			s.refTransfer(id, cur, peer)
@@ -365,24 +333,11 @@ func (s *refSim) refSpread(id int, from trace.NodeID, now float64, seen refHolde
 	}
 }
 
-func (s *refSim) refShouldForward(id int, holder, peer trace.NodeID, now float64) bool {
-	m := &s.msgs[id]
-	if s.sprayL > 0 && m.copies[holder] <= 1 {
-		return false
-	}
-	return s.refForward(holder, peer, m.msg.Dst, now)
-}
-
 func (s *refSim) refTransfer(id int, holder, peer trace.NodeID) {
 	s.sent++
 	m := &s.msgs[id]
 	m.holders.add(peer)
 	m.hops[peer] = m.hops[holder] + 1
-	if s.sprayL > 0 {
-		half := m.copies[holder] / 2
-		m.copies[peer] = half
-		m.copies[holder] -= half
-	}
 	if s.mode == Relay {
 		m.holders.remove(holder)
 	}
@@ -435,7 +390,7 @@ func TestGoldenReferenceDevTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		msgs := Workload(tr, 0.2, tr.Horizon, seed+100)
-		for _, alg := range forward.ExtendedSet() {
+		for _, alg := range forward.PaperSet() {
 			for _, mode := range []CopyMode{Replicate, Relay} {
 				label := tr.Name + "/" + alg.Name() + "/" + mode.String()
 				goldenCompare(t, label, tr, sw, alg, msgs, mode)
@@ -460,7 +415,7 @@ func TestGoldenReferencePaperDatasets(t *testing.T) {
 		}
 		for _, seed := range []int64{1, 2, 3} {
 			msgs := Workload(tr, 0.01, tr.Horizon*2/3, seed)
-			for _, alg := range forward.ExtendedSet() {
+			for _, alg := range forward.PaperSet() {
 				for _, mode := range []CopyMode{Replicate, Relay} {
 					label := tr.Name + "/" + alg.Name() + "/" + mode.String()
 					goldenCompare(t, label, tr, sw, alg, msgs, mode)

@@ -111,8 +111,8 @@ func TestSweepResetIndistinguishableFromFresh(t *testing.T) {
 	msgsB := Workload(tr, 0.05, tr.Horizon/2, 8) // different count and window
 	matrix := []Config{
 		{Algorithm: forward.Epidemic{}, Messages: msgsA, Workers: 1},
-		{Algorithm: forward.SprayAndWait{L: 4}, Messages: msgsB, Workers: 1},
-		{Algorithm: &forward.PRoPHET{}, Messages: msgsA, CopyMode: Relay, Workers: 1},
+		{Algorithm: forward.FRESH{}, Messages: msgsB, Workers: 1},
+		{Algorithm: forward.GreedyOnline{}, Messages: msgsA, CopyMode: Relay, Workers: 1},
 		{Algorithm: forward.DynamicProgramming{}, Messages: msgsB, Workers: 3},
 		{Algorithm: forward.Greedy{}, Messages: msgsA, CopyMode: Relay, Workers: 2},
 		{Algorithm: forward.Epidemic{}, Messages: msgsB, Workers: 4},

@@ -230,11 +230,10 @@ func (h *Harness) simulate(d tracegen.Dataset, workers int) (map[string]*dtnsim.
 		// One task per (algorithm, seed) pair, all sharing the sweep
 		// engine: the oracle tables are computed once per dataset and
 		// each task reuses pooled per-worker state. Tasks share the
-		// algorithm values, since every simulation shard replays its own
-		// forward.Instance. Each run keeps one shard (Workers: 1): the
-		// fan-out itself already exposes more than enough parallelism,
-		// and nested fan-out would just multiply the per-shard
-		// contact-replay overhead.
+		// algorithm values, which are stateless rules. Each run keeps
+		// one shard (Workers: 1): the fan-out itself already exposes
+		// more than enough parallelism, and nested fan-out would just
+		// multiply the per-shard contact-replay overhead.
 		err = engine.MapErr(workers, len(algs)*h.P.SimRuns, func(t int) error {
 			a, run := t/h.P.SimRuns, t%h.P.SimRuns
 			msgs := workload(tr, h.P, run)

@@ -1,8 +1,6 @@
 // Package forward implements the forwarding algorithms evaluated in
-// the paper's §6 — Epidemic, FRESH, Greedy, Greedy Total, Greedy
-// Online, and Dynamic Programming (MEED) — plus several well-known
-// extensions used for ablations (Direct Delivery, Spray and Wait,
-// PRoPHET).
+// the paper's §6: Epidemic, FRESH, Greedy, Greedy Total, Greedy
+// Online, and Dynamic Programming (MEED).
 //
 // Algorithms are pure decision rules over a View: the contact
 // knowledge a node could hold at a point in simulated time, plus the

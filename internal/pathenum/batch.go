@@ -96,11 +96,12 @@ func (e *Enumerator) EnumerateAll(msgs []Message, cx *engine.Ctx) ([]*Result, er
 // own scratch instead: nothing steps the prefix after it, so a group
 // of one never forks. Forks run strictly one at a time, so the layered
 // arenas never race the base; results are materialized out of each
-// fork before the next advances the base. A fired cx abandons the
-// group at the next checkpoint (prefix or fork alike): step reports
-// "finished", and a re-poll of cx tells that from a real finish. The
-// group then returns a *engine.CanceledError; results already
-// materialized into out stay — the batch call discards them.
+// fork, and the fork returns to the scratch pool, before the next
+// advances the base. A fired cx abandons the group at the next
+// checkpoint (prefix or fork alike): step reports "finished", and a
+// re-poll of cx tells that from a real finish. The group then returns
+// a *engine.CanceledError; results already materialized into out stay
+// — the batch call discards them.
 func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs []Message, out []*Result, cx *engine.Ctx) error {
 	type job struct {
 		mi int // index into msgs/out
@@ -135,7 +136,6 @@ func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs [
 	// cancellation; see step.
 	sink := &Result{}
 	cur := s0
-	var fk *scratch
 	for ji, j := range jobs {
 		sp = cx.Start(obs.StageEnumPrefix)
 		for ; cur < j.fa; cur++ {
@@ -150,8 +150,7 @@ func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs [
 		sp = cx.Start(obs.StageEnumFork)
 		sc := sc0
 		if ji < len(jobs)-1 {
-			fk = e.forkScratch(sc0, fk)
-			sc = fk
+			sc = e.forkScratch(sc0)
 		}
 		res := &Result{Msg: msgs[j.mi], Delta: e.g.Delta}
 		for s := cur; s < e.g.Steps; s++ {
@@ -159,17 +158,20 @@ func (e *Enumerator) enumerateGroup(src trace.NodeID, s0 int, idxs []int, msgs [
 				break
 			}
 		}
+		if !cx.Stopped() {
+			materializeArrivals(sc, res)
+			out[j.mi] = res
+		}
+		if sc != sc0 {
+			e.releaseFork(sc)
+		}
+		sp.End()
 		if cx.Stopped() {
-			sp.End()
 			break
 		}
-		materializeArrivals(sc, res)
-		out[j.mi] = res
-		sp.End()
 	}
-	// The forks' layered arenas aliased sc0's chunks, but every fork is
-	// dead (its arrivals materialized or abandoned) by now, so pooling
-	// sc0 is safe.
+	// Every fork has dropped its layers over sc0's chunks by now, so
+	// pooling sc0 is safe.
 	sc0.cx = nil
 	e.pool.Put(sc0)
 	if cx.Stopped() {
@@ -193,29 +195,25 @@ func (e *Enumerator) firstActive(d trace.NodeID, s0 int) (int, bool) {
 }
 
 // forkScratch builds a private continuation of base at a step
-// boundary: tables deep-copied, acceptance bounds and table stamps
-// carried over, path and row arenas layered copy-on-write (see
-// pathArena.forkFrom / rowArena.forkFrom), everything per-step reset.
-// Forks never enter the scratch pool, since their arenas alias the
-// base's chunks, and must not outlive the base's next step; passing
-// the previous job's fork as reuse recycles its allocations — tables,
-// histograms, and the arena chunks it had appended itself — instead of
-// leaving a full enumeration's scratch to the garbage collector per
-// destination.
-func (e *Enumerator) forkScratch(base, reuse *scratch) *scratch {
-	sc := reuse
-	if sc == nil {
-		sc = newScratch(e.tr.NumNodes)
-	} else {
-		// An arrival cap stop can abandon the previous job mid-step;
-		// clean the histogram state and candidates it left behind. The
-		// visited epoch marks stay — epochs only ever increase.
-		sc.clearHists()
-		for i := range sc.cands {
-			sc.cands[i] = sc.cands[i][:0]
-		}
-		sc.arrivals = sc.arrivals[:0]
+// boundary on a scratch drawn from the pool: tables deep-copied,
+// acceptance bounds and table stamps carried over, path and row arenas
+// layered copy-on-write (see pathArena.forkFrom / rowArena.forkFrom),
+// everything per-step reset. A fork must not outlive the base's next
+// step; releaseFork returns it to the pool once its arrivals are
+// materialized, so a batch recycles tables, histograms and arena
+// chunks across destinations and calls instead of leaving a full
+// enumeration's scratch to the garbage collector per group.
+func (e *Enumerator) forkScratch(base *scratch) *scratch {
+	sc := e.getScratch()
+	// An arrival cap stop or a cancellation can abandon a pooled
+	// scratch mid-step; clean the histogram state and candidates it
+	// left behind. The visited epoch marks stay — epochs only ever
+	// increase.
+	sc.clearHists()
+	for i := range sc.cands {
+		sc.cands[i] = sc.cands[i][:0]
 	}
+	sc.arrivals = sc.arrivals[:0]
 	// Forks poll the group's token.
 	sc.cx = base.cx
 	copy(sc.bound, base.bound)
@@ -226,4 +224,15 @@ func (e *Enumerator) forkScratch(base, reuse *scratch) *scratch {
 	sc.arena.forkFrom(&base.arena)
 	sc.rows.forkFrom(&base.rows)
 	return sc
+}
+
+// releaseFork returns a fork to the scratch pool. Both arenas first
+// drop the base's shared prefix (see pathArena.unfork and
+// rowArena.unfork), so no pooled scratch aliases chunks another
+// scratch owns.
+func (e *Enumerator) releaseFork(sc *scratch) {
+	sc.cx = nil
+	sc.arena.unfork()
+	sc.rows.unfork()
+	e.pool.Put(sc)
 }

@@ -101,6 +101,8 @@ func TestEnumerateAllDeterministicError(t *testing.T) {
 
 // A single shared Enumerator hammered from many goroutines (mixing
 // Enumerate and EnumerateAll) must stay race-free and deterministic.
+// The batch holds a shared-prefix group, so its forks move in and out
+// of the scratch pool that the lone calls draw from.
 func TestEnumeratorConcurrentStress(t *testing.T) {
 	tr := tracegen.Dev(4)
 	enum, err := NewEnumerator(tr, Options{K: 100, Workers: 2})
@@ -108,7 +110,7 @@ func TestEnumeratorConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(99))
-	msgs := sampleMessages(rng, tr, 8)
+	msgs := append(sampleMessages(rng, tr, 8), sharedPrefixBatch(rng, tr, 4)...)
 	want := make([]string, len(msgs))
 	for i, m := range msgs {
 		r, err := enum.Enumerate(m)

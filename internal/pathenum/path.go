@@ -133,10 +133,9 @@ type pathArena struct {
 	n      int32 // pnodes allocated since the last reset
 
 	// Fork state (zero on pooled arenas): chunks[:shared] belong to the
-	// base arena and are read-only here; spare holds chunks this arena
-	// allocated under a previous forkFrom, recycled instead of dropped
-	// when the arena is re-forked for the next destination of a batch
-	// group.
+	// base arena and are read-only here; spare holds the chunks this
+	// arena owned when it was forked, handed out again before any new
+	// chunk is allocated.
 	shared int
 	spare  [][]pnode
 }
@@ -189,20 +188,16 @@ func (a *pathArena) extend(q, qHops int32, n trace.NodeID, s int) int32 {
 	return i
 }
 
-// forkFrom turns a into a layered fork of base: base's chunks become a
-// shared read-only prefix — rounded up to a chunk boundary, so the
-// base can later resume filling its partial tail chunk without the two
-// ever writing the same slot — and a allocates its own chunks beyond
-// it. Handles issued by the base stay valid in the fork. Forks are
-// never reset or pooled, because their chunk table aliases the base's;
-// re-forking an existing fork recycles the chunks it had allocated
-// itself (its previous job's results are materialized by then) through
-// the spare list. Batch enumeration uses this to continue one shared
-// dynamic-program prefix independently per destination.
+// forkFrom turns a, a pooled arena, into a layered fork of base:
+// base's chunks become a shared read-only prefix — rounded up to a
+// chunk boundary, so the base can later resume filling its partial
+// tail chunk without the two ever writing the same slot — and a
+// allocates beyond it, from its own former chunks (the spare list)
+// first. Handles issued by the base stay valid in the fork. Batch
+// enumeration uses this to continue one shared dynamic-program prefix
+// independently per destination.
 func (a *pathArena) forkFrom(base *pathArena) {
-	if own := a.chunks[min(a.shared, len(a.chunks)):]; len(own) > 0 {
-		a.spare = append(a.spare, own...)
-	}
+	a.spare = append(a.spare, a.chunks...)
 	nChunks := (int(base.n) + arenaMask) >> arenaShift
 	a.chunks = append(a.chunks[:0], base.chunks[:nChunks]...)
 	a.n = int32(nChunks) << arenaShift
@@ -216,6 +211,19 @@ func (a *pathArena) forkFrom(base *pathArena) {
 // garbage collector and reallocated (one allocation per 1024 pnodes)
 // by the rare calls that need them again.
 const arenaRetainChunks = 1024
+
+// unfork turns a fork back into a pooled arena: the base's shared
+// prefix is dropped from the chunk table, which then holds exactly the
+// chunks the fork owns (its spares and its own allocations), and the
+// arena is reset. The two slices swap backing arrays, so the chunk
+// table and the spare list never share one.
+func (a *pathArena) unfork() {
+	a.spare = append(a.spare, a.chunks[a.shared:]...)
+	clear(a.chunks)
+	a.chunks, a.spare = a.spare, a.chunks[:0]
+	a.shared = 0
+	a.reset()
+}
 
 // reset rewinds the arena, keeping up to arenaRetainChunks chunks for
 // reuse. Only valid once no handle issued since the last reset is

@@ -16,14 +16,15 @@ import "repro/internal/trace"
 // handles are recycled through a stack. A forked arena (batch
 // enumeration) shares its base's chunks as a read-only prefix and
 // allocates from the next chunk boundary; floor guards the free list
-// so a fork never recycles rows it shares with the base.
+// so a fork never recycles rows it shares with the base, and unfork
+// drops the prefix before the fork's scratch returns to the pool.
 type rowArena struct {
 	words  int32 // row width in uint64 words, ceil(numNodes/64)
 	chunks [][]uint64
 	n      int32 // rows ever allocated since reset (free list reuses)
 	free   []int32
 	floor  int32      // fork guard: handles below floor are shared, never freed
-	spare  [][]uint64 // fork-owned chunks recycled across re-forks
+	spare  [][]uint64 // chunks owned before forkFrom, reused before new ones
 }
 
 const (
@@ -70,8 +71,7 @@ func (r *rowArena) take() int32 {
 	return h
 }
 
-// growChunk appends one chunk, recycling a spare from a previous fork
-// incarnation when available.
+// growChunk appends one chunk, recycling a spare when available.
 func (r *rowArena) growChunk() {
 	if k := len(r.spare); k > 0 {
 		r.chunks = append(r.chunks, r.spare[k-1])
@@ -94,22 +94,31 @@ func (r *rowArena) set(h int32, n trace.NodeID) {
 	r.row(h)[n>>6] |= 1 << (uint(n) & 63)
 }
 
-// forkFrom turns r into a layered fork of base: base's chunks become a
-// shared read-only prefix and r allocates from the next chunk boundary,
-// so the base can keep allocating into its own tail without the two
-// ever writing the same slot. Forks are never reset or pooled — their
-// chunk table aliases the base's — but re-forking an existing fork
-// recycles the chunks it had allocated itself through the spare list.
+// forkFrom turns r, a pooled arena, into a layered fork of base:
+// base's chunks become a shared read-only prefix and r allocates from
+// the next chunk boundary, so the base can keep allocating into its
+// own tail without the two ever writing the same slot. r's own former
+// chunks move to the spare list and are used before new ones.
 func (r *rowArena) forkFrom(base *rowArena) {
-	if own := r.chunks[min(int(r.floor)>>rowShift, len(r.chunks)):]; len(own) > 0 {
-		r.spare = append(r.spare, own...)
-	}
+	r.spare = append(r.spare, r.chunks...)
 	nChunks := (int(base.n) + rowMask) >> rowShift
 	r.words = base.words
 	r.chunks = append(r.chunks[:0], base.chunks[:nChunks]...)
 	r.n = int32(nChunks) << rowShift
 	r.free = r.free[:0]
 	r.floor = r.n
+}
+
+// unfork turns a fork back into a pooled arena: the base's chunks
+// below floor are dropped from the chunk table, which then holds
+// exactly the chunks the fork owns, and the arena is reset. As in
+// pathArena.unfork, the chunk table and the spare list swap backing
+// arrays and never share one.
+func (r *rowArena) unfork() {
+	r.spare = append(r.spare, r.chunks[r.floor>>rowShift:]...)
+	clear(r.chunks)
+	r.chunks, r.spare = r.spare, r.chunks[:0]
+	r.reset()
 }
 
 // reset rewinds the arena for the next enumeration, keeping up to

@@ -504,9 +504,9 @@ func countDelivered(r *dtnsim.Result) int {
 }
 
 // AlgorithmNames lists the servable forwarding algorithms (the
-// extended set) in presentation order.
+// paper's six) in presentation order.
 func AlgorithmNames() []string {
-	set := forward.ExtendedSet()
+	set := forward.PaperSet()
 	out := make([]string, len(set))
 	for i, a := range set {
 		out[i] = a.Name()
@@ -514,14 +514,13 @@ func AlgorithmNames() []string {
 	return out
 }
 
-// AlgorithmByName resolves a forwarding algorithm case-insensitively,
-// accepting hyphens for spaces ("greedy-total"). It returns a fresh
-// instance on every call, though concurrent simulations may share one:
-// every simulation shard replays its own clone of a stateful algorithm
-// (PRoPHET; see forward.Instance).
+// AlgorithmByName resolves one of the paper's six forwarding
+// algorithms case-insensitively, accepting hyphens for spaces
+// ("greedy-total"). The rules are stateless, so concurrent simulations
+// share the value it returns.
 func AlgorithmByName(name string) (forward.Algorithm, bool) {
 	want := strings.ToLower(strings.ReplaceAll(name, "-", " "))
-	for _, a := range forward.ExtendedSet() {
+	for _, a := range forward.PaperSet() {
 		if strings.ToLower(a.Name()) == want {
 			return a, true
 		}

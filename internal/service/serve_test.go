@@ -155,7 +155,7 @@ func TestServedEnumerateEquivalence(t *testing.T) {
 
 // TestServedSimulateEquivalence compares /simulate responses with a
 // direct library run (serial, no shared caches) across two datasets,
-// two seeds, both copy modes and a stateful algorithm.
+// several seeds, both copy modes and the oracle-reading MEED rule.
 func TestServedSimulateEquivalence(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	reg := NewRegistry()
@@ -164,7 +164,7 @@ func TestServedSimulateEquivalence(t *testing.T) {
 		{Dataset: "dev", Algorithm: "Epidemic", Rate: 0.1, Runs: 2, Seed: 1},
 		{Dataset: "dev", Algorithm: "greedy-total", Rate: 0.1, Runs: 2, Seed: 7},
 		{Dataset: "dev", Algorithm: "FRESH", CopyMode: "relay", Rate: 0.1, Runs: 1, Seed: 7},
-		{Dataset: "dev", Algorithm: "prophet", Rate: 0.1, Runs: 2, Seed: 3},
+		{Dataset: "dev", Algorithm: "dynamic-programming", Rate: 0.1, Runs: 2, Seed: 3},
 		{Dataset: "infocom-3-6", Algorithm: "Epidemic", Rate: 0.05, Runs: 2, Seed: 2},
 	}
 	for _, req := range cases {
@@ -333,6 +333,10 @@ func TestServedHealthz(t *testing.T) {
 	}
 }
 
+// paperAlgorithms is the list an unknown /simulate algorithm's error
+// names: the paper's six, and nothing else.
+const paperAlgorithms = "(available: Epidemic, FRESH, Greedy, Greedy Total, Greedy Online, Dynamic Programming)"
+
 // servedErrorCases are requests the server must refuse, with the status
 // and a word the error must name. FuzzServeBodies seeds its corpus with
 // their bodies.
@@ -357,6 +361,9 @@ var servedErrorCases = []struct {
 	{"negative delta", "POST", "/enumerate", `{"dataset":"dev","src":0,"dst":1,"delta":-1}`, http.StatusBadRequest, "delta"},
 	{"negative rate", "POST", "/simulate", `{"dataset":"dev","algorithm":"Epidemic","rate":-1}`, http.StatusBadRequest, "negative"},
 	{"unknown algorithm", "POST", "/simulate", `{"dataset":"dev","algorithm":"teleport"}`, http.StatusBadRequest, "Epidemic"},
+	{"no prophet", "POST", "/simulate", `{"dataset":"dev","algorithm":"prophet"}`, http.StatusBadRequest, paperAlgorithms},
+	{"no spray and wait", "POST", "/simulate", `{"dataset":"dev","algorithm":"spray and wait"}`, http.StatusBadRequest, paperAlgorithms},
+	{"no direct delivery", "POST", "/simulate", `{"dataset":"dev","algorithm":"direct-delivery"}`, http.StatusBadRequest, paperAlgorithms},
 	{"unknown copy mode", "POST", "/simulate", `{"dataset":"dev","algorithm":"Epidemic","copyMode":"beam"}`, http.StatusBadRequest, "replicate or relay"},
 	{"no figure data", "GET", "/figures/F01/data", "", http.StatusNotFound, ""},
 	{"wrong method", "GET", "/enumerate", "", http.StatusMethodNotAllowed, ""},

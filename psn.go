@@ -40,11 +40,8 @@
 // they share only immutable inputs (the trace, the space-time graph,
 // the simulator's oracle tables), write results into per-message
 // slots, and derive any per-item randomness from a per-index seed
-// split (DeriveSeed). Forwarding algorithms with internal state
-// implement forward.Stateful: every simulation shard replays its own
-// clone through the full contact stream, whatever the worker count,
-// so the caller's algorithm value is never mutated and may be shared
-// by concurrent runs.
+// split (DeriveSeed). Forwarding algorithms are stateless rules over
+// the shard's View, so one value may be shared by concurrent runs.
 //
 // # Batched sweeps
 //
@@ -52,7 +49,7 @@
 // SimSweep (NewSimSweep) builds the read-only oracle tables — contact
 // totals, the O(n³) MEED metric, the time-sorted contact event
 // stream — once per trace and pools the mutable per-worker state
-// (contact views, holder bitsets, hop/copy slabs, spread queues),
+// (contact views, holder bitsets, hop slabs, spread queues),
 // resetting it between runs instead of reallocating. Multi-run
 // consumers — psn-sim's run loop, the figure harness's (algorithm ×
 // seed) fan-out, the serving layer's /simulate — all route through a
@@ -60,7 +57,7 @@
 // Sweep results are byte-identical to plain Simulate calls (pinned,
 // against a vendored pre-sweep reference simulator, by the golden
 // suite in internal/dtnsim/golden_ref_test.go across all datasets,
-// all nine algorithms, both copy modes and multiple worker counts).
+// all six algorithms, both copy modes and multiple worker counts).
 //
 // The serving layer extends the contract end-to-end: a served response
 // is byte-identical to the equivalent direct library call, for any
@@ -272,10 +269,6 @@ func DeriveSeed(base int64, index int) int64 { return engine.DeriveSeed(base, in
 
 // PaperAlgorithms returns the six algorithms compared in §6.
 func PaperAlgorithms() []Algorithm { return forward.PaperSet() }
-
-// AllAlgorithms returns the paper set plus Direct Delivery, Spray and
-// Wait, and PRoPHET.
-func AllAlgorithms() []Algorithm { return forward.ExtendedSet() }
 
 // Analytic model.
 type (
